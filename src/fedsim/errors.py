@@ -25,7 +25,8 @@ class ConflictError(ValueError):
 
 
 class IntegrityError(RuntimeError):
-    """Version ledger consistency violation (unknown parent, duplicate id)."""
+    """Version ledger or payload archive consistency violation (unknown parent,
+    duplicate id, two payloads with one content hash)."""
 
 
 class PartitionError(ValueError):

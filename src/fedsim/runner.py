@@ -72,7 +72,7 @@ from .config import (
     ExperimentConfig,
 )
 from .data import augment_balance, label_distribution, make_holdout, partition
-from .errors import DivergenceError, SecureAbortError, SelectionStarvationError
+from .errors import DivergenceError, IntegrityError, SecureAbortError, SelectionStarvationError
 from .models import Dataset, ParameterVector, evaluate, local_train, save_checkpoint, seq_sum
 from .monitoring import (
     ACTION_FINE_TUNE,
@@ -191,14 +191,15 @@ class ExperimentRunner:
 
         _, pkg = create_job(cfg.arch, cfg.hp, cfg.init_mode, job_id=cfg.run_id)
         self.ledger = VersionLedger()
-        root_hash = wire.params_hash(pkg.params.values)
+        # payload blobs by content hash; only kept when they will be written
+        self._archive: dict[str, bytes] = {}
+        root_hash = self._archive_blob(wire.params_bytes(pkg.params.values))
         self.ledger.record(
             GlobalVersionRecord(ROOT_VERSION, None, root_hash, (), 0, MODE_INIT)
         )
         self.version_params: dict[str, ParameterVector] = {ROOT_VERSION: pkg.params}
         self.latest_vid = ROOT_VERSION
         self._next_version_n = 1
-        self._archive: dict[str, bytes] = {root_hash: wire.params_bytes(pkg.params.values)}
 
         self.cluster_assignment: dict[int, int] | None = None
         self.cluster_model_ids: dict[int, str] = {}
@@ -330,10 +331,17 @@ class ExperimentRunner:
         delta = decompress(env.payload, d=base_vals.shape[0])
         return ParameterVector(base_vals + delta)
 
-    def _contributor(self, env: UpdateEnvelope) -> Contributor:
-        blob = encode_payload_body(env.payload)
+    def _archive_blob(self, blob: bytes) -> str:
+        """Content hash of `blob`, archiving it when the run writes payloads."""
         digest = wire.hash_hex(blob)
-        self._archive[digest] = blob
+        if self.cfg.has(FLAG_CO_VERSIONING):
+            held = self._archive.setdefault(digest, blob)
+            if held != blob:
+                raise IntegrityError(f"two different payloads hash to [{digest}]")
+        return digest
+
+    def _contributor(self, env: UpdateEnvelope) -> Contributor:
+        digest = self._archive_blob(encode_payload_body(env.payload))
         ev = env.local_eval
         return Contributor(
             client_id=env.client_id,
@@ -791,9 +799,7 @@ class ExperimentRunner:
                 params = node_mean(states)
             contributors = []
             for cid in graph.nodes:
-                blob = encode_payload_body(post_train[cid])
-                digest = wire.hash_hex(blob)
-                self._archive[digest] = blob
+                digest = self._archive_blob(encode_payload_body(post_train[cid]))
                 rep = reports.get(cid)
                 contributors.append(
                     Contributor(

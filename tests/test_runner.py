@@ -7,8 +7,8 @@ import pytest
 
 from fedsim import wire
 from fedsim.config import parse_config
-from fedsim.errors import DivergenceError, SelectionStarvationError
-from fedsim.runner import run_experiment
+from fedsim.errors import DivergenceError, IntegrityError, SelectionStarvationError
+from fedsim.runner import ExperimentRunner, run_experiment
 
 METRIC_KEYS = {
     "round",
@@ -347,3 +347,25 @@ def test_archive_holds_root_and_contributor_payloads(tmp_path):
     assert stored == want
     record_lines = (tmp_path / "run" / "ledger.jsonl").read_text().splitlines()
     assert len(record_lines) == len(res.ledger.versions())
+
+
+def test_archive_rejects_two_payloads_with_one_hash(tmp_path, monkeypatch):
+    monkeypatch.setattr(wire, "hash_hex", lambda data: "00000000deadbeef")
+    cfg = _cfg(net={"dropout_prob": 0.0}, optional_components=["co_versioning"])
+    with pytest.raises(IntegrityError, match="00000000deadbeef"):
+        run_experiment(cfg, tmp_path / "run")
+
+
+def test_run_without_co_versioning_holds_no_payload_blobs(tmp_path):
+    plain = ExperimentRunner(_cfg(net={"dropout_prob": 0.0}), tmp_path / "plain")
+    res = plain.run()
+    assert plain._archive == {}
+    assert not (tmp_path / "plain" / "payloads").exists()
+    # the ledger still carries every content hash a versioned run records
+    versioned = run_experiment(
+        _cfg(net={"dropout_prob": 0.0}, optional_components=["co_versioning"]), None
+    )
+    assert [res.ledger.get(v) for v in res.ledger.versions()] == [
+        versioned.ledger.get(v) for v in versioned.ledger.versions()
+    ]
+    assert res.metrics == versioned.metrics

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import wire
 from fedsim.errors import CorruptMessageError
@@ -189,9 +191,31 @@ def test_fnv_hash_stability():
     # fixed reference value pins the hash function itself
     assert wire.fnv1a64(b"") == 0xCBF29CE484222325
     assert wire.hash_hex(b"a") == f"{wire.fnv1a64(b'a'):016x}"
+    # published FNV-1a 64 test vectors
+    assert wire.hash_hex(b"a") == "af63dc4c8601ec8c"
+    assert wire.hash_hex(b"foobar") == "85944171f73967e8"
     assert wire.params_hash(np.array([1.0, 2.0])) == wire.hash_hex(
         np.array([1.0, 2.0]).astype("<f8").tobytes()
     )
+
+
+def test_fnv_vectorised_matches_byte_loop():
+    cutoff = wire.VECTOR_MIN_BYTES
+    rng = np.random.default_rng(3)
+    cases = [b""]
+    # lengths on both sides of the cutoff, through every uint64 word padding
+    cases += [rng.bytes(n) for n in range(cutoff - 9, cutoff + 10)]
+    cases += [fill * n for fill in (b"\x00", b"\xff") for n in (cutoff, 3 * cutoff + 5)]
+    # 800,000 bytes: many vectorised chunks, ending in a partial one
+    cases.append(wire.params_bytes(rng.standard_normal(100_000)))
+    for data in cases:
+        assert wire.fnv1a64(data) == wire._fnv1a64_loop(data), len(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.binary(min_size=wire.VECTOR_MIN_BYTES, max_size=4 * wire.VECTOR_MIN_BYTES))
+def test_fnv_vectorised_matches_byte_loop_on_random_bytes(data):
+    assert wire.fnv1a64(data) == wire._fnv1a64_loop(data)
 
 
 def test_version_id_round_trip():
