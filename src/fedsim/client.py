@@ -321,12 +321,15 @@ def encode_payload_body(payload) -> bytes:
     """
     if isinstance(payload, ParameterVector):
         return wire.params_bytes(payload.values)
-    cu = payload
-    width = wire.code_width(cu.bits)
-    entry = struct.Struct("<IB" if width == 1 else "<IH")
-    return b"".join(
-        entry.pack(int(i), int(c)) for i, c in zip(cu.indices, cu.codes)
-    ) + struct.pack("<d", cu.scale)
+    return wire.encode_sparse_body(payload.indices, payload.codes, payload.bits, payload.scale)
+
+
+def _decoded_sparse(buf, offset: int, count: int, bits: int) -> CompressedUpdate:
+    indices, codes, scale = wire.decode_sparse_body(buf, offset, count, bits)
+    # d is not carried on the wire; fill with the index upper bound and let
+    # the caller re-target against the model dimension
+    d = int(indices[-1]) + 1 if count else 1
+    return CompressedUpdate(d=d, indices=indices, codes=codes, bits=bits, scale=scale)
 
 
 def decode_payload_body(update_kind: int, buf: bytes) -> ParameterVector | CompressedUpdate:
@@ -342,20 +345,10 @@ def decode_payload_body(update_kind: int, buf: bytes) -> ParameterVector | Compr
     bits = wire.sparse_bits_for_update_kind(update_kind)
     if bits is None:
         raise CorruptMessageError(f"kind {update_kind} is not an update payload")
-    width = wire.code_width(bits)
-    entry = struct.Struct("<IB" if width == 1 else "<IH")
-    if (len(buf) - 8) % entry.size or len(buf) < 8:
+    count, rest = divmod(len(buf) - 8, 4 + wire.code_width(bits))
+    if rest or len(buf) < 8:
         raise CorruptMessageError("sparse payload length mismatch")
-    count = (len(buf) - 8) // entry.size
-    indices = np.empty(count, dtype=np.int64)
-    codes = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        ix, c = entry.unpack_from(buf, i * entry.size)
-        indices[i] = ix
-        codes[i] = c
-    (scale,) = struct.unpack_from("<d", buf, count * entry.size)
-    d = int(indices[-1]) + 1 if count else 1
-    return CompressedUpdate(d=d, indices=indices, codes=codes, bits=bits, scale=scale)
+    return _decoded_sparse(buf, 0, count, bits)
 
 
 def encode_envelope(env: UpdateEnvelope) -> bytes:
@@ -396,23 +389,7 @@ def decode_envelope(buf: bytes) -> UpdateEnvelope:
         bits = wire.sparse_bits_for_update_kind(kind)
         if bits is None:
             raise CorruptMessageError(f"kind {kind} is not an update envelope")
-        width = wire.code_width(bits)
-        entry = struct.Struct("<IB" if width == 1 else "<IH")
-        need = offset + count * entry.size + 8
-        if len(buf) != need:
-            raise CorruptMessageError("envelope payload length mismatch")
-        indices = np.empty(count, dtype=np.int64)
-        codes = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            ix, c = entry.unpack_from(buf, offset + i * entry.size)
-            indices[i] = ix
-            codes[i] = c
-        (scale,) = struct.unpack_from("<d", buf, offset + count * entry.size)
-        # d is not carried on the wire; fill with the index upper bound and let
-        # the caller re-target against the model dimension
-        payload = CompressedUpdate(
-            d=int(indices[-1]) + 1, indices=indices, codes=codes, bits=bits, scale=scale
-        )
+        payload = _decoded_sparse(buf, offset, count, bits)
         payload_kind = PAYLOAD_COMPRESSED
     return UpdateEnvelope(
         client_id=sender,

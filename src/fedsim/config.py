@@ -468,12 +468,19 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         conflicts.append("hierarchical aggregation forbids secure masking")
     if secure_masking and FLAG_COMPRESSOR in flags:
         conflicts.append("secure masking forbids the compressor component (masked sums are dense)")
+    if secure_masking and FLAG_DEPLOYMENT_SELECTOR in flags:
+        conflicts.append(
+            "secure masking forbids the deployment_selector component "
+            "(per-cluster models need unmasked updates)"
+        )
     if FLAG_MULTITASK in flags and arch.kind != "mlp":
         conflicts.append("the multitask component requires an mlp arch")
     if FLAG_MULTITASK in flags and mode == MODE_DECENTRALISED:
         conflicts.append("the multitask component does not support decentralised aggregation")
     if FLAG_COMPRESSOR in flags and mode == MODE_DECENTRALISED:
         conflicts.append("the compressor component does not support decentralised aggregation")
+    if gate != GatePolicy() and mode == MODE_DECENTRALISED:
+        conflicts.append("decentralised aggregation forbids the upload gate (every node gossips)")
     if FLAG_DEPLOYMENT_SELECTOR in flags and FLAG_CLUSTER not in flags:
         conflicts.append("the deployment_selector component requires the cluster component")
     if FLAG_DEPLOYMENT_SELECTOR in flags and mode in (MODE_ASYNC, MODE_DECENTRALISED):

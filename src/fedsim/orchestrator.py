@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .aggregation import ROOT_VERSION
 from .client import ModelPackage
 from .errors import ConflictError, SelectionStarvationError
 from .models import ArchDescriptor, EvalReport, Hyperparameters, init_params
@@ -28,8 +29,6 @@ STRATEGY_UNIFORM = "uniform_random"
 STRATEGY_TOP_RESOURCE = "top_resource"
 STRATEGY_TOP_ACCURACY = "top_accuracy"
 SELECTION_STRATEGIES = (STRATEGY_UNIFORM, STRATEGY_TOP_RESOURCE, STRATEGY_TOP_ACCURACY)
-
-ROOT_VERSION = "g0"
 
 
 # ---------------------------------------------------------------------------

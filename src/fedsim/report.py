@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 
 from .errors import IntegrityError
+from .wire import SERVER_SENDER
 
 REPORT_COLUMNS = (
     "round",
@@ -26,8 +27,6 @@ REPORT_COLUMNS = (
     "triggers",
     "incentives_paid",
 )
-
-_SERVER_SENDER = 0xFFFFFFFF
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -61,7 +60,7 @@ def build_report(run_dir: str | Path) -> list[dict]:
         if ev.get("event") != "message":
             continue
         r = ev["round"]
-        if ev["sender"] == _SERVER_SENDER:
+        if ev["sender"] == SERVER_SENDER:
             down[r] = down.get(r, 0) + ev["bytes"]
         else:
             up[r] = up.get(r, 0) + ev["bytes"]

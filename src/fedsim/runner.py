@@ -2,9 +2,13 @@
 
 The driver owns the clock. Synchronous modes advance it round by round;
 the async mode replays an event queue of wave timers and message
-deliveries. Every random draw is keyed by the master seed plus a salt,
-so a config replays to byte-identical artifacts (run_meta.json, which
-records wall-clock timestamps, is the single exception).
+deliveries. Every mode runs the same client step, `_client_updates`: each
+delivered broadcast goes through ClientRuntime.handle_broadcast (train,
+evaluate, upload gate, package), the outcome is logged, and the upload
+candidates come back for the mode to send and aggregate. Every random
+draw is keyed by the master seed plus a salt, so a config replays to
+byte-identical artifacts (run_meta.json, which records wall-clock
+timestamps, is the single exception).
 """
 
 from __future__ import annotations
@@ -52,11 +56,9 @@ from .client import (
     UpdateEnvelope,
     Withheld,
     WITHHELD_DIVERGENCE,
-    WITHHELD_GATE,
     build_envelope,
     decompress,
     encode_payload_body,
-    upload_gate,
     wire_update_kind,
 )
 from .config import (
@@ -340,9 +342,11 @@ class ExperimentRunner:
                 raise IntegrityError(f"two different payloads hash to [{digest}]")
         return digest
 
-    def _contributor(self, env: UpdateEnvelope) -> Contributor:
+    def _accept(self, env: UpdateEnvelope) -> Contributor:
+        """Archive an aggregated upload and credit its client's participation."""
         digest = self._archive_blob(encode_payload_body(env.payload))
         ev = env.local_eval
+        self.registry.record_participation(env.client_id, ev)
         return Contributor(
             client_id=env.client_id,
             payload_hash=digest,
@@ -475,17 +479,72 @@ class ExperimentRunner:
         )
 
     # ------------------------------------------------------------------
-    # synchronous rounds (fedavg, secure, hierarchical)
+    # the client step, shared by every mode
     # ------------------------------------------------------------------
 
-    def _broadcast(self, r, selected, pkg) -> list[tuple[int, float]]:
+    def _select(self, r: int, fraction: float):
+        """This round's selection plan, or None when selection starves."""
+        try:
+            return select_clients(
+                self.registry, self.cfg.selection, fraction, r, self.cfg.seed, self.latest_vid
+            )
+        except SelectionStarvationError:
+            self._starved += 1
+            self._log({"event": "starved", "round": r})
+            return None
+
+    def _broadcast(self, r, selected, pkg, sent_at):
+        """Send `pkg` to each selected client in turn, yielding (client,
+        delivered_at) for each one it reaches."""
         size = wire.broadcast_message_size(len(pkg.params))
-        delivered = []
         for cid in selected:
-            env = self._send("broadcast", self.cfg.net, wire.SERVER_SENDER, cid, size, self.clock, r)
+            env = self._send("broadcast", self.cfg.net, wire.SERVER_SENDER, cid, size, sent_at, r)
             if env.delivered_at is not None:
-                delivered.append((cid, env.delivered_at))
-        return delivered
+                yield cid, env.delivered_at
+
+    def _client_updates(self, r, deliveries, pkg_for):
+        """Run the client step for each delivered (client, time): train,
+        evaluate, gate and package through handle_broadcast, and log the
+        outcome. Yields (client, time, envelope) for each upload candidate.
+
+        Raises DivergenceError once `deliveries` runs out if every client
+        that trained diverged.
+        """
+        trained = diverged = 0
+        for cid, t in deliveries:
+            out = self.runtimes[cid].handle_broadcast(pkg_for(cid), r)
+            trained += 1
+            if isinstance(out, Withheld):
+                if out.reason == WITHHELD_DIVERGENCE:
+                    diverged += 1
+                self._log({"event": "withheld", "round": r, "client_id": cid, "reason": out.reason})
+                continue
+            ev = out.local_eval
+            self._log(
+                {
+                    "event": "local_train",
+                    "round": r,
+                    "client_id": cid,
+                    "loss": float(ev.loss),
+                    "accuracy": float(ev.accuracy),
+                    "n_samples": out.n_samples,
+                }
+            )
+            yield cid, t, out
+        if trained and diverged == trained:
+            raise DivergenceError(f"round {r}: every training client diverged")
+
+    def _upload(self, label, sender, receiver, nbytes, sent_at, r, cutoff=None) -> float | None:
+        """Send one upload; its arrival time, or None if it is lost or lands
+        after `cutoff`."""
+        env = self._send(label, self.cfg.net, sender, receiver, nbytes, sent_at, r)
+        if env.delivered_at is None or (cutoff is not None and env.delivered_at > cutoff):
+            return None
+        return env.delivered_at
+
+    # ------------------------------------------------------------------
+    # synchronous rounds (fedavg, secure, hierarchical)
+    # ------------------------------------------------------------------
 
     def _finish_round_clock(self) -> None:
         if self.cfg.deadline_s is not None:
@@ -497,10 +556,6 @@ class ExperimentRunner:
         if self.cfg.deadline_s is None:
             return None
         return self.clock + self.cfg.deadline_s
-
-    def _check_all_diverged(self, r, trained, diverged) -> None:
-        if trained and diverged == trained:
-            raise DivergenceError(f"round {r}: every training client diverged")
 
     def _update_cluster_models(self, vid, weighted, parent) -> None:
         if not self.cfg.has(FLAG_DEPLOYMENT_SELECTOR):
@@ -521,19 +576,13 @@ class ExperimentRunner:
 
     def _run_sync_round(self, r: int) -> None:
         cfg = self.cfg
-        fraction = self._begin_round(r)
-        try:
-            plan = select_clients(
-                self.registry, cfg.selection, fraction, r, cfg.seed, self.latest_vid
-            )
-        except SelectionStarvationError:
-            self._starved += 1
-            self._log({"event": "starved", "round": r})
+        plan = self._select(r, self._begin_round(r))
+        if plan is None:
             self._post_round(r, 0, 0, 0, 0)
             return
         pkg = self._package()
         cutoff = self._cutoff()
-        delivered = self._broadcast(r, plan.selected, pkg)
+        delivered = list(self._broadcast(r, plan.selected, pkg, self.clock))
 
         # masking can be requested on top of plain fedavg; the minted record
         # carries the protocol actually used so replay recomputes it right
@@ -561,45 +610,22 @@ class ExperimentRunner:
         )
 
     def _fedavg_exchange(self, r, pkg, delivered, cutoff):
-        trained = 0
-        diverged = 0
         arrivals = []
-        for cid, t_arr in delivered:
-            out = self.runtimes[cid].handle_broadcast(pkg, r)
-            trained += 1
-            if isinstance(out, Withheld):
-                if out.reason == WITHHELD_DIVERGENCE:
-                    diverged += 1
-                self._log({"event": "withheld", "round": r, "client_id": cid, "reason": out.reason})
-                continue
-            ev = out.local_eval
-            self._log(
-                {
-                    "event": "local_train",
-                    "round": r,
-                    "client_id": cid,
-                    "loss": float(ev.loss),
-                    "accuracy": float(ev.accuracy),
-                    "n_samples": out.n_samples,
-                }
-            )
-            up = self._send("update", self.cfg.net, cid, wire.SERVER_SENDER, out.byte_size, t_arr, r)
-            if up.delivered_at is not None and (cutoff is None or up.delivered_at <= cutoff):
-                arrivals.append((cid, out))
-        self._check_all_diverged(r, trained, diverged)
+        for cid, t, env in self._client_updates(r, delivered, lambda _: pkg):
+            t_up = self._upload("update", cid, wire.SERVER_SENDER, env.byte_size, t, r, cutoff)
+            if t_up is not None:
+                arrivals.append(env)
         if len(arrivals) < self.cfg.min_updates:
             self._log({"event": "round_failed", "round": r, "reason": "too few updates"})
             return {}, [], None
-        arrivals.sort(key=lambda a: a[0])
+        arrivals.sort(key=lambda env: env.client_id)
         with _numeric_guard(r):
             weighted = [
-                WeightedUpdate(cid, self._reconstruct(env, pkg.params), env.n_samples)
-                for cid, env in arrivals
+                WeightedUpdate(env.client_id, self._reconstruct(env, pkg.params), env.n_samples)
+                for env in arrivals
             ]
             agg = fedavg(weighted)
-        contributors = [self._contributor(env) for _, env in arrivals]
-        for cid, env in arrivals:
-            self.registry.record_participation(cid, env.local_eval)
+        contributors = [self._accept(env) for env in arrivals]
         vid_next = wire.format_version(self._next_version_n)
         with _numeric_guard(r):
             self._update_cluster_models(vid_next, weighted, pkg.params)
@@ -607,117 +633,62 @@ class ExperimentRunner:
 
     def _secure_exchange(self, r, pkg, delivered, cutoff):
         cfg = self.cfg
-        trained = 0
-        diverged = 0
-        commits = []
-        for cid, t_arr in delivered:
-            rt = self.runtimes[cid]
-            out = rt.train_and_evaluate(pkg, r)
-            trained += 1
-            if isinstance(out, Withheld):
-                diverged += 1
-                self._log({"event": "withheld", "round": r, "client_id": cid, "reason": out.reason})
-                continue
-            update, report = out
-            if not upload_gate(report, cfg.gate):
-                self._log(
-                    {"event": "withheld", "round": r, "client_id": cid, "reason": WITHHELD_GATE}
-                )
-                continue
-            self._log(
-                {
-                    "event": "local_train",
-                    "round": r,
-                    "client_id": cid,
-                    "loss": float(report.loss),
-                    "accuracy": float(report.accuracy),
-                    "n_samples": len(rt.shard.train),
-                }
-            )
-            commits.append((cid, update, report, t_arr))
-        self._check_all_diverged(r, trained, diverged)
+        # masks are drawn over every committed client, so all train before any sends
+        commits = [(t, env) for _, t, env in self._client_updates(r, delivered, lambda _: pkg)]
         if len(commits) < 2:
             self._log(
                 {"event": "round_failed", "round": r, "reason": "fewer than 2 masking participants"}
             )
             return {}, [], None
-        ids = [cid for cid, _, _, _ in commits]
-        dim = len(commits[0][1])
+        ids = [env.client_id for _, env in commits]
+        dim = len(commits[0][1].payload)
         round_seed = wire.fnv1a64(struct.pack("<QI", cfg.seed & 0xFFFFFFFFFFFFFFFF, r))
         pads = pairwise_pads(ids, dim, round_seed)
-        total_n = sum(len(self.runtimes[cid].shard.train) for cid in ids)
+        total_n = sum(env.n_samples for _, env in commits)
         arrivals = []
-        for cid, update, report, t_arr in commits:
-            n = len(self.runtimes[cid].shard.train)
-            masked = mask_submission(WeightedUpdate(cid, update, n), pads)
-            env = build_envelope(
-                cid, r, pkg.version_id, n, PAYLOAD_MASKED, ParameterVector(masked), report
+        for t, env in commits:
+            cid = env.client_id
+            masked = mask_submission(WeightedUpdate(cid, env.payload, env.n_samples), pads)
+            sub = build_envelope(
+                cid, r, pkg.version_id, env.n_samples, PAYLOAD_MASKED, ParameterVector(masked),
+                env.local_eval,
             )
-            up = self._send("masked_update", cfg.net, cid, wire.SERVER_SENDER, env.byte_size, t_arr, r)
-            if up.delivered_at is not None and (cutoff is None or up.delivered_at <= cutoff):
-                arrivals.append((cid, env))
+            t_up = self._upload(
+                "masked_update", cid, wire.SERVER_SENDER, sub.byte_size, t, r, cutoff
+            )
+            if t_up is not None:
+                arrivals.append(sub)
         try:
             with _numeric_guard(r):
                 agg = secure_sum(
-                    [(cid, env.payload.values) for cid, env in arrivals], total_n, ids
+                    [(env.client_id, env.payload.values) for env in arrivals], total_n, ids
                 )
         except SecureAbortError as e:
             self._log({"event": "secure_abort", "round": r, "reason": str(e)})
             self._log({"event": "round_failed", "round": r, "reason": "masking participant lost"})
             return {}, [], None
-        arrivals.sort(key=lambda a: a[0])
-        contributors = [self._contributor(env) for _, env in arrivals]
-        for cid, env in arrivals:
-            self.registry.record_participation(cid, env.local_eval)
+        arrivals.sort(key=lambda env: env.client_id)
+        contributors = [self._accept(env) for env in arrivals]
         return {}, contributors, agg
 
     def _hierarchical_exchange(self, r, pkg, delivered, cutoff):
         cfg = self.cfg
-        trained = 0
-        diverged = 0
         edge_arrivals: dict[int, list] = {}
-        for cid, t_arr in delivered:
-            out = self.runtimes[cid].handle_broadcast(pkg, r)
-            trained += 1
-            if isinstance(out, Withheld):
-                if out.reason == WITHHELD_DIVERGENCE:
-                    diverged += 1
-                self._log({"event": "withheld", "round": r, "client_id": cid, "reason": out.reason})
-                continue
-            ev = out.local_eval
-            self._log(
-                {
-                    "event": "local_train",
-                    "round": r,
-                    "client_id": cid,
-                    "loss": float(ev.loss),
-                    "accuracy": float(ev.accuracy),
-                    "n_samples": out.n_samples,
-                }
-            )
+        for cid, t, env in self._client_updates(r, delivered, lambda _: pkg):
             edge = cid % cfg.n_edges
-            up = self._send(
-                "update", cfg.net, cid, wire.EDGE_SENDER_BASE + edge, out.byte_size, t_arr, r
-            )
-            if up.delivered_at is not None:
-                edge_arrivals.setdefault(edge, []).append((cid, out, up.delivered_at))
-        self._check_all_diverged(r, trained, diverged)
+            t_edge = self._upload("update", cid, wire.EDGE_SENDER_BASE + edge, env.byte_size, t, r)
+            if t_edge is not None:
+                edge_arrivals.setdefault(edge, []).append((cid, env, t_edge))
         dim = len(pkg.params) if not self.multitask else self.shared_len
         groups = []
         members_by_edge = {}
         for edge in sorted(edge_arrivals):
             rows = sorted(edge_arrivals[edge], key=lambda a: a[0])
             t_fwd = max(t for _, _, t in rows)
-            fwd = self._send(
-                "edge_update",
-                cfg.net,
-                wire.EDGE_SENDER_BASE + edge,
-                wire.SERVER_SENDER,
-                wire.dense_message_size(dim),
-                t_fwd,
-                r,
-            )
-            if fwd.delivered_at is None or (cutoff is not None and fwd.delivered_at > cutoff):
+            sender = wire.EDGE_SENDER_BASE + edge
+            size = wire.dense_message_size(dim)
+            fwd = self._upload("edge_update", sender, wire.SERVER_SENDER, size, t_fwd, r, cutoff)
+            if fwd is None:
                 continue
             groups.append(EdgeGroup(edge, [cid for cid, _, _ in rows]))
             members_by_edge[edge] = rows
@@ -733,8 +704,7 @@ class ExperimentRunner:
                     weighted.append(
                         WeightedUpdate(cid, self._reconstruct(env, pkg.params), env.n_samples)
                     )
-                    contributors.append(self._contributor(env))
-                    self.registry.record_participation(cid, env.local_eval)
+                    contributors.append(self._accept(env))
             agg = hierarchical_aggregate(groups, weighted)
             vid_next = wire.format_version(self._next_version_n)
             self._update_cluster_models(vid_next, weighted, pkg.params)
@@ -753,36 +723,15 @@ class ExperimentRunner:
         size = wire.dense_message_size(cfg.arch.parameter_count)
         for r in range(cfg.rounds):
             self._begin_round(r)
-            trained = 0
-            diverged = 0
-            post_train = {}
-            reports = {}
-            for cid in graph.nodes:
-                rt = self.runtimes[cid]
-                pkg = ModelPackage(self.latest_vid, states[cid], cfg.arch, cfg.hp)
-                out = rt.train_and_evaluate(pkg, r)
-                trained += 1
-                if isinstance(out, Withheld):
-                    diverged += 1
-                    post_train[cid] = states[cid]
-                    self._log(
-                        {"event": "withheld", "round": r, "client_id": cid, "reason": out.reason}
-                    )
-                    continue
-                update, report = out
-                post_train[cid] = update
-                reports[cid] = report
-                self._log(
-                    {
-                        "event": "local_train",
-                        "round": r,
-                        "client_id": cid,
-                        "loss": float(report.loss),
-                        "accuracy": float(report.accuracy),
-                        "n_samples": len(rt.shard.train),
-                    }
-                )
-            self._check_all_diverged(r, trained, diverged)
+            # every node trains from its own state; no broadcast precedes it
+            nodes = [(cid, self.clock) for cid in graph.nodes]
+            pkgs = {
+                cid: ModelPackage(self.latest_vid, s, cfg.arch, cfg.hp) for cid, s in states.items()
+            }
+            envs = {cid: env for cid, _, env in self._client_updates(r, nodes, pkgs.get)}
+            post_train = {
+                cid: envs[cid].payload if cid in envs else states[cid] for cid in graph.nodes
+            }
             states = dict(post_train)
             t = self.clock
             for _ in range(cfg.gossip_steps):
@@ -799,21 +748,14 @@ class ExperimentRunner:
                 params = node_mean(states)
             contributors = []
             for cid in graph.nodes:
+                if cid in envs:
+                    contributors.append(self._accept(envs[cid]))
+                    continue
+                # a withheld node shares its pre-training state and has no evaluation
                 digest = self._archive_blob(encode_payload_body(post_train[cid]))
-                rep = reports.get(cid)
-                contributors.append(
-                    Contributor(
-                        client_id=cid,
-                        payload_hash=digest,
-                        n_samples=len(self.runtimes[cid].shard.train),
-                        update_kind=wire.K_UPDATE_DENSE,
-                        base_version=self.latest_vid,
-                        loss=float(rep.loss) if rep else None,
-                        accuracy=float(rep.accuracy) if rep else None,
-                    )
-                )
-                if rep is not None:
-                    self.registry.record_participation(cid, rep)
+                n = len(self.runtimes[cid].shard.train)
+                kind = wire.K_UPDATE_DENSE
+                contributors.append(Contributor(cid, digest, n, kind, self.latest_vid))
             detail = {"edges": [list(e) for e in graph.edges], "steps": cfg.gossip_steps}
             self._mint(params, contributors, r, MODE_GOSSIP, detail)
             self._post_round(
@@ -847,54 +789,21 @@ class ExperimentRunner:
                 if r > 0:
                     close_wave(r - 1)
                 wave = r
-                fraction = self._begin_round(r)
-                try:
-                    plan = select_clients(
-                        self.registry, cfg.selection, fraction, r, cfg.seed, self.latest_vid
-                    )
-                except SelectionStarvationError:
-                    self._starved += 1
-                    self._log({"event": "starved", "round": r})
+                plan = self._select(r, self._begin_round(r))
+                if plan is None:
                     continue
                 sel[r] = len(plan.selected)
                 pkg = self._package()
-                size = wire.broadcast_message_size(len(pkg.params))
-                trained = 0
-                diverged = 0
-                for cid in plan.selected:
-                    bc = self._send("broadcast", cfg.net, wire.SERVER_SENDER, cid, size, ev.time_s, r)
-                    if bc.delivered_at is None:
-                        continue
-                    out = self.runtimes[cid].handle_broadcast(pkg, r)
-                    trained += 1
-                    if isinstance(out, Withheld):
-                        if out.reason == WITHHELD_DIVERGENCE:
-                            diverged += 1
-                        self._log(
-                            {"event": "withheld", "round": r, "client_id": cid, "reason": out.reason}
-                        )
-                        continue
-                    evr = out.local_eval
-                    self._log(
-                        {
-                            "event": "local_train",
-                            "round": r,
-                            "client_id": cid,
-                            "loss": float(evr.loss),
-                            "accuracy": float(evr.accuracy),
-                            "n_samples": out.n_samples,
-                        }
-                    )
-                    upm = self._send(
-                        "update", cfg.net, cid, wire.SERVER_SENDER, out.byte_size, bc.delivered_at, r
-                    )
-                    if upm.delivered_at is not None:
-                        q.schedule(upm.delivered_at, EVENT_DELIVER, payload=(cid, out))
-                self._check_all_diverged(r, trained, diverged)
+                # lazy: each broadcast goes out just before its client trains
+                delivered = self._broadcast(r, plan.selected, pkg, ev.time_s)
+                for cid, t, env in self._client_updates(r, delivered, lambda _: pkg):
+                    t_up = self._upload("update", cid, wire.SERVER_SENDER, env.byte_size, t, r)
+                    if t_up is not None:
+                        q.schedule(t_up, EVENT_DELIVER, payload=env)
                 up[r] += self._round_up
                 down[r] += self._round_down
             else:
-                cid, env = ev.payload
+                env = ev.payload
                 base_rec = self.ledger.get(env.base_version_id)
                 parent = self.version_params[self.latest_vid]
                 with _numeric_guard(wave):
@@ -912,15 +821,13 @@ class ExperimentRunner:
                 params = (
                     self._splice_head(merged_core, parent) if self.multitask else merged_core
                 )
-                contributor = self._contributor(env)
                 detail = {
                     "alpha0": cfg.async_alpha0,
                     "decay": cfg.async_decay,
                     "current_round": wave,
                     "base_round": base_rec.created_at_round,
                 }
-                self._mint(params, [contributor], wave, MODE_ASYNC, detail)
-                self.registry.record_participation(cid, env.local_eval)
+                self._mint(params, [self._accept(env)], wave, MODE_ASYNC, detail)
                 recv[wave] += 1
         close_wave(cfg.rounds - 1)
 

@@ -20,9 +20,8 @@ from .client import CompressedUpdate, ModelPackage, UpdateEnvelope, encode_envel
 from .models import ParameterVector
 
 EVENT_DELIVER = "deliver"
-EVENT_CLIENT_DONE = "client_done"
 EVENT_TIMER = "timer"
-_EVENT_KINDS = (EVENT_DELIVER, EVENT_CLIENT_DONE, EVENT_TIMER)
+_EVENT_KINDS = (EVENT_DELIVER, EVENT_TIMER)
 
 _SALT_SEND = 201
 

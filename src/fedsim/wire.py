@@ -218,12 +218,38 @@ def decode_dense(buf: bytes) -> tuple[int, int, int, np.ndarray]:
     return kind, rnd, sender, values
 
 
-def _sparse_body(indices: np.ndarray, codes: np.ndarray, bits: int, scale: float) -> bytes:
-    width = code_width(bits)
-    entry = struct.Struct("<IB" if width == 1 else "<IH")
-    parts = [entry.pack(int(i), int(c)) for i, c in zip(indices, codes)]
-    parts.append(_F64.pack(scale))
-    return b"".join(parts)
+def _sparse_entry(bits: int) -> np.dtype:
+    """One packed sparse entry: index u32, then a code of code_width(bits) bytes."""
+    return np.dtype([("index", "<u4"), ("code", "u1" if code_width(bits) == 1 else "<u2")])
+
+
+def encode_sparse_body(indices, codes, bits: int, scale: float) -> bytes:
+    """The sparse payload: one packed entry per (index, code), then the scale."""
+    entry = _sparse_entry(bits)
+    idx = np.asarray(indices, dtype=np.int64)
+    cds = np.asarray(codes, dtype=np.int64)
+    if idx.shape != cds.shape or idx.ndim != 1:
+        raise ValueError("indices and codes disagree on length")
+    for name, values in (("index", idx), ("code", cds)):
+        top = np.iinfo(entry[name]).max
+        if len(values) and (values.min() < 0 or values.max() > top):
+            raise ValueError(f"sparse {name} outside its {entry[name].itemsize}-byte field")
+    out = np.empty(len(idx), dtype=entry)
+    out["index"] = idx
+    out["code"] = cds
+    return out.tobytes() + _F64.pack(scale)
+
+
+def decode_sparse_body(buf, offset: int, count: int, bits: int):
+    """(indices, codes, scale) of the `count`-entry sparse payload at `offset`,
+    which must end the buffer exactly."""
+    entry = _sparse_entry(bits)
+    need = offset + count * entry.itemsize + 8
+    if len(buf) != need:
+        raise CorruptMessageError(f"sparse payload length {len(buf)}, expected {need}")
+    entries = np.frombuffer(buf, dtype=entry, count=count, offset=offset)
+    (scale,) = _F64.unpack_from(buf, need - 8)
+    return entries["index"].astype(np.int64), entries["code"].astype(np.int64), scale
 
 
 def encode_sparse(
@@ -235,26 +261,8 @@ def encode_sparse(
     bits: int,
     scale: float,
 ) -> bytes:
-    if len(indices) != len(codes):
-        raise ValueError("indices and codes disagree on length")
-    head = encode_header(kind, round_index, sender, len(indices))
-    return head + _sparse_body(indices, codes, bits, scale)
-
-
-def _decode_sparse_body(buf: bytes, offset: int, count: int, bits: int):
-    width = code_width(bits)
-    entry = struct.Struct("<IB" if width == 1 else "<IH")
-    need = offset + count * entry.size + 8
-    if len(buf) != need:
-        raise CorruptMessageError(f"sparse message length {len(buf)}, expected {need}")
-    indices = np.empty(count, dtype=np.int64)
-    codes = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        idx, code = entry.unpack_from(buf, offset + i * entry.size)
-        indices[i] = idx
-        codes[i] = code
-    (scale,) = _F64.unpack_from(buf, offset + count * entry.size)
-    return indices, codes, scale
+    body = encode_sparse_body(indices, codes, bits, scale)
+    return encode_header(kind, round_index, sender, len(indices)) + body
 
 
 def decode_sparse(buf: bytes) -> tuple[int, int, int, np.ndarray, np.ndarray, int, float]:
@@ -262,7 +270,7 @@ def decode_sparse(buf: bytes) -> tuple[int, int, int, np.ndarray, np.ndarray, in
     if kind not in _SPARSE_BITS:
         raise CorruptMessageError(f"kind {kind} is not a bare sparse message")
     bits = _SPARSE_BITS[kind]
-    indices, codes, scale = _decode_sparse_body(buf, HEADER_SIZE, count, bits)
+    indices, codes, scale = decode_sparse_body(buf, HEADER_SIZE, count, bits)
     return kind, rnd, sender, indices, codes, bits, scale
 
 

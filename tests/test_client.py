@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim import wire
 from fedsim.client import (
     ClientRuntime,
     CompressedUpdate,
@@ -17,12 +19,15 @@ from fedsim.client import (
     build_envelope,
     compress,
     decode_envelope,
+    decode_payload_body,
     decompress,
     encode_envelope,
+    encode_payload_body,
     personal_params,
     personalize_multitask,
     split_body_head,
     upload_gate,
+    wire_update_kind,
 )
 from fedsim.data import PartitionSpec, SyntheticSpec, partition
 from fedsim.errors import CorruptMessageError
@@ -350,3 +355,51 @@ def test_payload_body_round_trip_sparse():
     assert np.array_equal(back.codes, cu.codes)
     assert back.scale == cu.scale
     assert back.bits == cu.bits
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_empty_sparse_envelope_decodes_like_its_payload_body(bits):
+    empty = CompressedUpdate(d=1, indices=[], codes=[], bits=bits, scale=0.0)
+    env = build_envelope(2, 3, "g1", 5, "compressed", empty, _report())
+    back = decode_envelope(encode_envelope(env))
+    body = decode_payload_body(wire_update_kind(env), encode_payload_body(empty))
+    assert back.payload.d == body.d == 1
+    assert len(back.payload.indices) == len(body.indices) == 0
+
+
+def _struct_sparse_body(indices, codes, bits, scale):
+    """Reference sparse codec: one struct entry per (index, code)."""
+    entry = struct.Struct("<IB" if bits <= 8 else "<IH")
+    body = b"".join(entry.pack(int(i), int(c)) for i, c in zip(indices, codes))
+    return body + struct.pack("<d", scale)
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+@pytest.mark.parametrize("count", [0, 1, 40])
+def test_sparse_codec_matches_struct_reference(bits, count):
+    rng = np.random.default_rng([bits, count])
+    field_max = 0xFF if bits <= 8 else 0xFFFF
+    indices = np.unique(rng.integers(0, 2**32 - 1, size=count))
+    codes = rng.integers(0, field_max + 1, size=len(indices))
+    if count:
+        # the widest value each field holds
+        indices[-1], codes[-1] = 2**32 - 1, field_max
+    ref = _struct_sparse_body(indices, codes, bits, 0.375)
+    assert wire.encode_sparse_body(indices, codes, bits, 0.375) == ref
+    idx, cds, scale = wire.decode_sparse_body(ref, 0, len(indices), bits)
+    assert idx.tolist() == [int(i) for i in indices]
+    assert cds.tolist() == [int(c) for c in codes]
+    assert scale == 0.375
+    with pytest.raises(CorruptMessageError):
+        wire.decode_sparse_body(ref[:-1], 0, len(indices), bits)
+
+
+@pytest.mark.parametrize(
+    "bits,index,code",
+    [(8, 2**32, 0), (8, -1, 0), (4, 0, 0x100), (8, 0, 0x100), (16, 0, 0x10000), (16, 0, -1)],
+)
+def test_sparse_codec_rejects_values_wider_than_their_field(bits, index, code):
+    with pytest.raises(struct.error):
+        _struct_sparse_body([index], [code], bits, 0.0)
+    with pytest.raises(ValueError, match="field"):
+        wire.encode_sparse_body([index], [code], bits, 0.0)

@@ -197,3 +197,25 @@ def test_load_config_bad_json(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("gate", [{"min_accuracy": 0.99}, {"max_loss": 1.0}])
+def test_decentralised_rejects_upload_gate(gate):
+    # gossip nodes always share their state, so a gate would do nothing
+    with pytest.raises(ConfigError, match="decentralised aggregation forbids the upload gate"):
+        parse_config({"aggregation_mode": "decentralised", "gate": gate})
+
+
+def test_decentralised_accepts_disabled_gate_and_its_canonical_form():
+    cfg = parse_config({"aggregation_mode": "decentralised", "gate": {"min_accuracy": 0.0}})
+    # config.json writes the disabled gate out; it must parse back to the same run
+    assert parse_config(cfg.canonical).run_id == cfg.run_id
+
+
+@pytest.mark.parametrize("masking", [{"aggregation_mode": "secure"}, {"secure_masking": True}])
+def test_secure_masking_rejects_deployment_selector(masking):
+    # masked uploads cannot be averaged per cluster, so every deployment
+    # would ship the root model
+    raw = {**masking, "optional_components": [FLAG_CLUSTER, "deployment_selector"]}
+    with pytest.raises(ConfigError, match="secure masking forbids the deployment_selector"):
+        parse_config(raw)

@@ -1,6 +1,9 @@
 """End-to-end runs of the experiment driver, one small config per behavior."""
 
+import importlib
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,3 +372,15 @@ def test_run_without_co_versioning_holds_no_payload_blobs(tmp_path):
         versioned.ledger.get(v) for v in versioned.ledger.versions()
     ]
     assert res.metrics == versioned.metrics
+
+
+def test_benchmark_trace_sites_resolve():
+    # the benchmark tracer rebinds these import sites; a refactor that drops
+    # one should fail here, not only in the slower benchmark self-test
+    spans = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "spans.py"))
+    for name, module_name, attr, _ in spans["SITES"]:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{name}: {module_name}.{attr} does not resolve"
+            owner = getattr(owner, part)
+        assert callable(owner), name
