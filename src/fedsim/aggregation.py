@@ -144,12 +144,13 @@ def mask_submission(
     update: WeightedUpdate, pads: dict[tuple[int, int], MaskPad]
 ) -> np.ndarray:
     """Weighted parameters obscured by every pad this client shares."""
+    cid = update.client_id
     masked = update.params.values * update.n_samples
-    for (low, high), entry in sorted(pads.items()):
-        if low == update.client_id:
-            masked = masked + entry.pad.values
-        elif high == update.client_id:
-            masked = masked - entry.pad.values
+    for low, high in sorted(pair for pair in pads if cid in pair):
+        if low == cid:
+            masked = masked + pads[low, high].pad.values
+        else:
+            masked = masked - pads[low, high].pad.values
     return masked
 
 

@@ -74,7 +74,13 @@ from .config import (
     ExperimentConfig,
 )
 from .data import augment_balance, label_distribution, make_holdout, partition
-from .errors import DivergenceError, IntegrityError, SecureAbortError, SelectionStarvationError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    IntegrityError,
+    SecureAbortError,
+    SelectionStarvationError,
+)
 from .models import Dataset, ParameterVector, evaluate, local_train, save_checkpoint, seq_sum
 from .monitoring import (
     ACTION_FINE_TUNE,
@@ -166,6 +172,13 @@ class ExperimentRunner:
                 augment_balance(s, target, cfg.synthetic.noise_sigma, seed=cfg.seed)
                 for s in self.shards
             ]
+        # shard sizes are known only once the split has run
+        smallest = min(self.shards, key=lambda s: len(s.train))
+        if cfg.hp.batch_size > len(smallest.train):
+            raise ConfigError(
+                f"hp.batch_size {cfg.hp.batch_size} exceeds the smallest training shard "
+                f"({len(smallest.train)} samples, client {smallest.client_id})"
+            )
         self.holdout = make_holdout(cfg.synthetic, cfg.holdout_n, seed=cfg.seed)
         self.monitor_stream = make_holdout(cfg.synthetic, cfg.holdout_n, seed=MONITOR_STREAM_SALT)
 

@@ -52,6 +52,14 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_batch_larger_than_a_shard_exits_two(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, {"n_clients": 8, "data": {"partition": {"mode": "quantity_skew", "sigma": 1.0}}}
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: hp.batch_size 20 exceeds" in capsys.readouterr().err
+
+
 def test_unreadable_config_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

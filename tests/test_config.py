@@ -1,6 +1,7 @@
 """Config schema validation, defaults, and run identity."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,18 @@ from fedsim.config import (
     parse_config,
 )
 from fedsim.errors import ConfigError
+from fedsim.runner import run_experiment
+
+# the golden configs and the benchmark workloads
+SHIPPED_CONFIGS = [
+    pytest.param(json.loads(p.read_text()), id=p.stem)
+    for p in sorted((Path(__file__).parent / "golden").glob("g*.json"))
+] + [
+    pytest.param(w["config"], id=w["name"])
+    for w in json.loads((Path(__file__).parents[1] / "bench" / "workloads.json").read_text())[
+        "workloads"
+    ]
+]
 
 
 def test_empty_config_materializes_defaults():
@@ -178,6 +191,38 @@ def test_canonical_dict_round_trips_through_json():
     cfg = parse_config({"rounds": 2, "optional_components": [FLAG_CLUSTER]})
     clone = json.loads(json.dumps(cfg.canonical))
     assert parse_config(clone).run_id == cfg.run_id
+
+
+@pytest.mark.parametrize("raw", SHIPPED_CONFIGS)
+def test_shipped_configs_round_trip_through_config_json(raw, tmp_path):
+    cfg = parse_config(raw)
+    again = parse_config(json.loads(json.dumps(cfg.canonical)))
+    assert again.canonical == cfg.canonical
+    assert again.run_id == cfg.run_id
+    run_experiment(cfg, tmp_path / "run")
+    assert load_config(tmp_path / "run" / "config.json").run_id == cfg.run_id
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"hp": {"l2": "x"}}, "hp.l2: expected a number"),
+        ({"selection": {"min_samples": "x"}}, "selection.min_samples: expected an integer"),
+        ({"data": {"noise_sigma": "x"}}, "data.noise_sigma: expected a number"),
+        ({"net": {"dropout_prob": "x"}}, "net.dropout_prob: expected a number"),
+        ({"gate": {"min_accuracy": "x"}}, "gate.min_accuracy: expected a number"),
+        ({"deploy": {"min_global_accuracy": "x"}}, "deploy.min_global_accuracy: expected a number"),
+        (
+            {"optional_components": [FLAG_COMPRESSOR], "compression": {"bits": "x"}},
+            "compression.bits: expected an integer",
+        ),
+    ],
+    ids=["hp", "selection", "data", "net", "gate", "deploy", "compression"],
+)
+def test_reader_error_names_its_key_once(raw, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert str(exc.value) == message
 
 
 def test_load_config_reads_file(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from fedsim import wire
 from fedsim.config import parse_config
-from fedsim.errors import DivergenceError, IntegrityError, SelectionStarvationError
+from fedsim.errors import ConfigError, DivergenceError, IntegrityError, SelectionStarvationError
 from fedsim.runner import ExperimentRunner, run_experiment
 
 METRIC_KEYS = {
@@ -68,6 +68,20 @@ def test_every_round_starved_raises():
     cfg = _cfg(selection={"strategy": "uniform_random", "min_samples": 10_000})
     with pytest.raises(SelectionStarvationError):
         run_experiment(cfg, None)
+
+
+@pytest.mark.parametrize(
+    "raw, smallest",
+    [
+        ({"data": {"samples_per_client": 20}}, 16),
+        ({"n_clients": 8, "data": {"partition": {"mode": "quantity_skew", "sigma": 1.0}}}, 15),
+    ],
+)
+def test_batch_larger_than_smallest_shard_is_rejected_at_setup(raw, smallest):
+    # shard sizes exist only after partitioning, so the runner checks them
+    # before anything trains
+    with pytest.raises(ConfigError, match=rf"hp\.batch_size 20 exceeds .* \({smallest} samples"):
+        ExperimentRunner(parse_config(raw))
 
 
 def test_overflowing_learning_rate_raises_divergence():
