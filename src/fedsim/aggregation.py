@@ -182,23 +182,6 @@ def secure_sum(
     return ParameterVector(acc / total_n)
 
 
-def secure_round(updates: list[WeightedUpdate], round_seed: int) -> ParameterVector:
-    """Run the whole mask-exchange protocol in one call.
-
-    The round driver splits these steps across simulated clients; this
-    entry point exists for direct equivalence checks against fedavg.
-    """
-    ordered = _sorted_updates(updates)
-    if len(ordered) < 2:
-        raise ValueError("masked aggregation needs at least 2 contributors")
-    dim = len(ordered[0].params)
-    ids = [u.client_id for u in ordered]
-    pads = pairwise_pads(ids, dim, round_seed)
-    submissions = [(u.client_id, mask_submission(u, pads)) for u in ordered]
-    total = sum(u.n_samples for u in ordered)
-    return secure_sum(submissions, total, ids)
-
-
 # ---------------------------------------------------------------------------
 # asynchronous merging
 # ---------------------------------------------------------------------------
@@ -371,23 +354,6 @@ class GossipGraph:
     def weight(self, a: int, b: int) -> float:
         key = (a, b) if a < b else (b, a)
         return self._edge_weight[key]
-
-    def self_weight(self, node: int) -> float:
-        kept = 1.0
-        for m in self._neighbors[node]:
-            kept -= self.weight(node, m)
-        return kept
-
-    def mixing_matrix(self) -> np.ndarray:
-        """Dense row-stochastic matrix, rows and columns in node order."""
-        index = {n: i for i, n in enumerate(self.nodes)}
-        w = np.zeros((len(self.nodes), len(self.nodes)))
-        for (a, b), value in self._edge_weight.items():
-            w[index[a], index[b]] = value
-            w[index[b], index[a]] = value
-        for n in self.nodes:
-            w[index[n], index[n]] = self.self_weight(n)
-        return w
 
 
 def gossip_round(
@@ -579,21 +545,6 @@ class VersionLedger:
     def versions(self) -> tuple[str, ...]:
         """Version ids in append order."""
         return tuple(self._order)
-
-    def latest(self) -> GlobalVersionRecord:
-        if not self._order:
-            raise IntegrityError("ledger is empty")
-        return self._records[self._order[-1]]
-
-    def lineage(self, version_id: str) -> list[str]:
-        """Parent chain from the given version down to the root, inclusive."""
-        chain = []
-        current: str | None = version_id
-        while current is not None:
-            rec = self.get(current)
-            chain.append(current)
-            current = rec.parent_version_id
-        return chain
 
     def write_jsonl(self, path: str | Path) -> None:
         lines = [

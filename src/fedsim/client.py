@@ -19,7 +19,6 @@ from . import wire
 from .errors import CorruptMessageError, DivergenceError
 from .models import (
     ArchDescriptor,
-    Dataset,
     EvalReport,
     Hyperparameters,
     ParameterVector,
@@ -261,7 +260,7 @@ def personalize_multitask(
 
 
 # ---------------------------------------------------------------------------
-# envelope construction and wire form
+# envelope construction and payload bodies
 # ---------------------------------------------------------------------------
 
 
@@ -305,7 +304,7 @@ def build_envelope(
 
 
 def wire_update_kind(env: UpdateEnvelope) -> int:
-    """The header kind code this envelope serializes under."""
+    """The update kind of this envelope's payload, as the ledger records it."""
     if env.payload_kind == PAYLOAD_DENSE:
         return wire.K_UPDATE_DENSE
     if env.payload_kind == PAYLOAD_MASKED:
@@ -324,14 +323,6 @@ def encode_payload_body(payload) -> bytes:
     return wire.encode_sparse_body(payload.indices, payload.codes, payload.bits, payload.scale)
 
 
-def _decoded_sparse(buf, offset: int, count: int, bits: int) -> CompressedUpdate:
-    indices, codes, scale = wire.decode_sparse_body(buf, offset, count, bits)
-    # d is not carried on the wire; fill with the index upper bound and let
-    # the caller re-target against the model dimension
-    d = int(indices[-1]) + 1 if count else 1
-    return CompressedUpdate(d=d, indices=indices, codes=codes, bits=bits, scale=scale)
-
-
 def decode_payload_body(update_kind: int, buf: bytes) -> ParameterVector | CompressedUpdate:
     """Inverse of encode_payload_body, given the wire kind that framed it.
 
@@ -348,59 +339,9 @@ def decode_payload_body(update_kind: int, buf: bytes) -> ParameterVector | Compr
     count, rest = divmod(len(buf) - 8, 4 + wire.code_width(bits))
     if rest or len(buf) < 8:
         raise CorruptMessageError("sparse payload length mismatch")
-    return _decoded_sparse(buf, 0, count, bits)
-
-
-def encode_envelope(env: UpdateEnvelope) -> bytes:
-    """header | base version u32 | n_samples u32 | eval block | payload."""
-    kind = wire_update_kind(env)
-    count = (
-        len(env.payload)
-        if env.payload_kind in (PAYLOAD_DENSE, PAYLOAD_MASKED)
-        else len(env.payload.indices)
-    )
-    body = encode_payload_body(env.payload)
-    head = wire.encode_header(kind, env.round_index, env.client_id, count)
-    meta = struct.pack(
-        "<II", wire.parse_version(env.base_version_id), env.n_samples
-    )
-    ev = env.local_eval
-    eval_block = wire.encode_eval_block(
-        ev.loss, ev.accuracy, ev.n_samples, ev.per_class_counts, ev.degenerate
-    )
-    return head + meta + eval_block + body
-
-
-def decode_envelope(buf: bytes) -> UpdateEnvelope:
-    kind, rnd, sender, count = wire.decode_header(buf)
-    offset = wire.HEADER_SIZE
-    base_n, n_samples = struct.unpack_from("<II", buf, offset)
-    offset += 8
-    (loss, acc, ev_n, counts, degenerate), offset = wire.decode_eval_block(buf, offset)
-    report = EvalReport(loss, acc, ev_n, tuple(counts), degenerate)
-    if kind in (wire.K_UPDATE_DENSE, wire.K_UPDATE_MASKED):
-        need = offset + 8 * count
-        if len(buf) != need:
-            raise CorruptMessageError("envelope payload length mismatch")
-        values = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).copy()
-        payload = ParameterVector(values)
-        payload_kind = PAYLOAD_DENSE if kind == wire.K_UPDATE_DENSE else PAYLOAD_MASKED
-    else:
-        bits = wire.sparse_bits_for_update_kind(kind)
-        if bits is None:
-            raise CorruptMessageError(f"kind {kind} is not an update envelope")
-        payload = _decoded_sparse(buf, offset, count, bits)
-        payload_kind = PAYLOAD_COMPRESSED
-    return UpdateEnvelope(
-        client_id=sender,
-        round_index=rnd,
-        base_version_id=wire.format_version(base_n),
-        n_samples=n_samples,
-        payload_kind=payload_kind,
-        payload=payload,
-        local_eval=report,
-        byte_size=len(buf),
-    )
+    indices, codes, scale = wire.decode_sparse_body(buf, 0, count, bits)
+    d = int(indices[-1]) + 1 if count else 1  # d is not carried on the wire
+    return CompressedUpdate(d=d, indices=indices, codes=codes, bits=bits, scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -148,16 +148,17 @@ class _Off(dict):
 def _scoped(table: dict, scope):
     """A section that applies only in one mode or with one component.
 
-    Any empty value reads as {}; settings given while the section is off
-    are rejected.
+    null reads as {} (config.json writes a section that is off as null);
+    settings given while the section is off are rejected.
     """
     requirement, applies = scope
 
     def read(value, path, known):
+        value = {} if value is None else value
         if value and not applies(known):
             _check_keys(value, path, table)
             raise ConfigError(f"{path}: settings require {requirement}")
-        values = _section(value or {}, path, table, known)
+        values = _section(value, path, table, known)
         return values if applies(known) else _Off(values)
 
     return read
@@ -473,11 +474,13 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         conflicts.append("the deployment_selector component requires the cluster component")
     if FLAG_DEPLOYMENT_SELECTOR in flags and mode in (MODE_ASYNC, MODE_DECENTRALISED):
         conflicts.append("the deployment_selector component requires a synchronous round structure")
+    if selection != SelectionCriteria() and FLAG_SELECTOR not in flags:
+        conflicts.append("selection settings require the selector component")
     if selection.strategy == STRATEGY_TOP_ACCURACY and FLAG_REGISTRY not in flags:
         conflicts.append("top_accuracy selection requires the registry component")
     if monitor["drift_round"] is not None and monitor["drift_round"] >= values["rounds"]:
         conflicts.append("monitor.drift_round must fall inside the run's rounds")
-    if cluster["k"] > values["n_clients"]:
+    if FLAG_CLUSTER in flags and cluster["k"] > values["n_clients"]:
         conflicts.append("cluster.k cannot exceed n_clients")
     if conflicts:
         raise ConfigError("; ".join(conflicts))

@@ -12,9 +12,7 @@ and never sees pooled moments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -310,24 +308,3 @@ def augment_balance(
         shard, train=train, label_histogram=tuple(int(c) for c in hist)
     )
 
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-
-def export_shards(shards: list[ClientShard], path: str | Path) -> None:
-    """One JSON line per train sample: {client_id, features, label}."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for shard in shards:
-            for row, label in zip(shard.train.features, shard.train.labels):
-                fh.write(
-                    json.dumps(
-                        {
-                            "client_id": shard.client_id,
-                            "features": row.tolist(),
-                            "label": int(label),
-                        }
-                    )
-                    + "\n"
-                )

@@ -251,14 +251,6 @@ def _forward(params: ParameterVector, arch: ArchDescriptor, features: np.ndarray
     return hidden @ w2 + b2, hidden
 
 
-def predict(params: ParameterVector, arch: ArchDescriptor, features: np.ndarray) -> np.ndarray:
-    """Per-row class probabilities via a max-shifted softmax."""
-    logits, _ = _forward(params, arch, features)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
-
-
 def _per_sample_ce(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> np.ndarray:
     logits, _ = _forward(params, arch, data.features)
     m = logits.max(axis=1)

@@ -122,15 +122,6 @@ def deploy(
     return DeploymentRecord(version_id, ordered, round_index, model_ids)
 
 
-def deployment_to_json(rec: DeploymentRecord) -> dict:
-    return {
-        "version_id": rec.version_id,
-        "round": rec.deployed_at_round,
-        "targets": list(rec.targets),
-        "model_ids": {str(t): rec.model_ids[t] for t in rec.targets},
-    }
-
-
 # ---------------------------------------------------------------------------
 # incentives
 # ---------------------------------------------------------------------------

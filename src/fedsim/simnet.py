@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from . import wire
-from .client import CompressedUpdate, ModelPackage, UpdateEnvelope, encode_envelope
-from .models import ParameterVector
 
 EVENT_DELIVER = "deliver"
 EVENT_TIMER = "timer"
@@ -119,25 +116,3 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-
-# ---------------------------------------------------------------------------
-# byte accounting
-# ---------------------------------------------------------------------------
-
-
-def byte_size_of(message) -> int:
-    """Exact canonical wire length of a message object."""
-    if isinstance(message, ParameterVector):
-        return wire.dense_message_size(len(message))
-    if isinstance(message, CompressedUpdate):
-        return wire.sparse_message_size(len(message.indices), message.bits)
-    if isinstance(message, UpdateEnvelope):
-        return len(encode_envelope(message))
-    if isinstance(message, ModelPackage):
-        return wire.broadcast_message_size(len(message.params))
-    raise TypeError(f"cannot size message of type {type(message).__name__}")

@@ -1,14 +1,14 @@
-"""Canonical wire encoding and content hashing.
+"""Canonical wire sizes, payload encoding and content hashing.
 
-Every message starts with a 16-byte little-endian header:
-
-    kind u32 | round u32 | sender u32 | count u32
-
-followed by the payload. Dense payloads are `count` float64 values. Sparse
-payloads are `count` entries of (index u32, quantized code of ceil(bits/8)
-bytes) followed by one float64 scale. Update envelopes insert a base-version
-u32 and a fixed evaluation block between header and payload. The encodings
-are bit-exact: equal inputs produce equal bytes.
+Whole messages are never built; their sizes are formulas. Each message is a
+16-byte header (kind u32 | round u32 | sender u32 | count u32) and its
+payload. A broadcast puts a hyperparameter block before its parameters; an
+update envelope puts a base-version u32, an n_samples u32 and an evaluation
+block before its payload. Only payload bodies are encoded, for hashing and
+the archive: dense payloads are little-endian float64 values; sparse
+payloads are one (index u32, quantized code of ceil(bits/8) bytes) entry per
+kept coordinate followed by one float64 scale. The encodings are bit-exact:
+equal inputs produce equal bytes.
 
 Content hashes are 64-bit FNV-1a over these canonical bytes, rendered as 16
 hex digits. Inputs of VECTOR_MIN_BYTES or more are hashed with numpy, with the
@@ -27,21 +27,14 @@ import numpy as np
 
 from .errors import CorruptMessageError
 
-# message kinds
-K_PARAMS = 1  # bare dense parameter vector
-K_SPARSE4 = 2  # bare sparse update, 4-bit codes
-K_SPARSE8 = 3
-K_SPARSE16 = 4
-K_BROADCAST = 5  # model package: header | hyperparameter block | dense params
-K_UPDATE_DENSE = 6  # envelope: header | base u32 | eval block | payload
+# update kinds; ledger.jsonl records these numbers
+K_UPDATE_DENSE = 6  # envelope: header | base u32 | n_samples u32 | eval block | payload
 K_UPDATE_MASKED = 7
 K_UPDATE_SPARSE4 = 8
 K_UPDATE_SPARSE8 = 9
 K_UPDATE_SPARSE16 = 10
 
-_SPARSE_BITS = {K_SPARSE4: 4, K_SPARSE8: 8, K_SPARSE16: 16}
 _UPDATE_SPARSE_BITS = {K_UPDATE_SPARSE4: 4, K_UPDATE_SPARSE8: 8, K_UPDATE_SPARSE16: 16}
-SPARSE_KIND_BY_BITS = {4: K_SPARSE4, 8: K_SPARSE8, 16: K_SPARSE16}
 UPDATE_SPARSE_KIND_BY_BITS = {4: K_UPDATE_SPARSE4, 8: K_UPDATE_SPARSE8, 16: K_UPDATE_SPARSE16}
 
 # wire sender ids for non-client actors; clients use their own id
@@ -71,10 +64,6 @@ def code_width(bits: int) -> int:
 
 def dense_message_size(d: int) -> int:
     return HEADER_SIZE + 8 * d
-
-
-def sparse_message_size(k: int, bits: int) -> int:
-    return HEADER_SIZE + k * (4 + code_width(bits)) + 8
 
 
 def eval_block_size(num_classes: int) -> int:
@@ -183,39 +172,9 @@ def format_version(n: int) -> str:
     return f"g{n}"
 
 
-def parse_version(version_id: str) -> int:
-    if not version_id.startswith("g"):
-        raise ValueError(f"bad version id {version_id!r}")
-    return int(version_id[1:])
-
-
 # ---------------------------------------------------------------------------
-# primitive encoders
+# payload bodies
 # ---------------------------------------------------------------------------
-
-
-def encode_header(kind: int, round_index: int, sender: int, count: int) -> bytes:
-    return _HEADER.pack(kind, round_index, sender, count)
-
-
-def decode_header(buf: bytes) -> tuple[int, int, int, int]:
-    if len(buf) < HEADER_SIZE:
-        raise CorruptMessageError("message shorter than header")
-    return _HEADER.unpack_from(buf, 0)
-
-
-def encode_dense(kind: int, round_index: int, sender: int, values: np.ndarray) -> bytes:
-    body = params_bytes(values)
-    return encode_header(kind, round_index, sender, len(values)) + body
-
-
-def decode_dense(buf: bytes) -> tuple[int, int, int, np.ndarray]:
-    kind, rnd, sender, count = decode_header(buf)
-    expect = dense_message_size(count)
-    if len(buf) != expect:
-        raise CorruptMessageError(f"dense message length {len(buf)}, expected {expect}")
-    values = np.frombuffer(buf, dtype="<f8", count=count, offset=HEADER_SIZE).copy()
-    return kind, rnd, sender, values
 
 
 def _sparse_entry(bits: int) -> np.dtype:
@@ -250,45 +209,6 @@ def decode_sparse_body(buf, offset: int, count: int, bits: int):
     entries = np.frombuffer(buf, dtype=entry, count=count, offset=offset)
     (scale,) = _F64.unpack_from(buf, need - 8)
     return entries["index"].astype(np.int64), entries["code"].astype(np.int64), scale
-
-
-def encode_sparse(
-    kind: int,
-    round_index: int,
-    sender: int,
-    indices: np.ndarray,
-    codes: np.ndarray,
-    bits: int,
-    scale: float,
-) -> bytes:
-    body = encode_sparse_body(indices, codes, bits, scale)
-    return encode_header(kind, round_index, sender, len(indices)) + body
-
-
-def decode_sparse(buf: bytes) -> tuple[int, int, int, np.ndarray, np.ndarray, int, float]:
-    kind, rnd, sender, count = decode_header(buf)
-    if kind not in _SPARSE_BITS:
-        raise CorruptMessageError(f"kind {kind} is not a bare sparse message")
-    bits = _SPARSE_BITS[kind]
-    indices, codes, scale = decode_sparse_body(buf, HEADER_SIZE, count, bits)
-    return kind, rnd, sender, indices, codes, bits, scale
-
-
-def encode_eval_block(
-    loss: float,
-    accuracy: float,
-    n_samples: int,
-    per_class_counts: tuple[int, ...],
-    degenerate: bool,
-) -> bytes:
-    fixed = _EVAL_FIXED.pack(loss, accuracy, n_samples, len(per_class_counts), int(degenerate))
-    return fixed + struct.pack(f"<{len(per_class_counts)}I", *per_class_counts)
-
-
-def decode_eval_block(buf: bytes, offset: int):
-    loss, accuracy, n_samples, k, degenerate = _EVAL_FIXED.unpack_from(buf, offset)
-    counts = struct.unpack_from(f"<{k}I", buf, offset + _EVAL_FIXED.size)
-    return (loss, accuracy, n_samples, counts, bool(degenerate)), offset + _EVAL_FIXED.size + 4 * k
 
 
 def sparse_bits_for_update_kind(kind: int) -> int | None:

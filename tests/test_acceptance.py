@@ -25,16 +25,19 @@ from fedsim.aggregation import (
     fedavg,
     gossip_round,
     hierarchical_aggregate,
+    mask_submission,
     node_mean,
-    secure_round,
+    pairwise_pads,
+    secure_sum,
 )
 from fedsim.cli import main as cli_main
-from fedsim.client import compress, decompress
+from fedsim.client import build_envelope, compress, decompress, encode_payload_body
 from fedsim.config import FLAG_CO_VERSIONING, parse_config
 from fedsim.data import make_holdout, partition
 from fedsim.models import (
     ArchDescriptor,
     Dataset,
+    EvalReport,
     ParameterVector,
     evaluate,
     finite_difference_gradient,
@@ -43,14 +46,7 @@ from fedsim.models import (
 )
 from fedsim.replay import STATUS_HASH_MISMATCH, STATUS_MATCH, all_match, replay_run
 from fedsim.runner import run_experiment
-from fedsim.wire import (
-    HEADER_SIZE,
-    K_SPARSE8,
-    K_UPDATE_MASKED,
-    dense_message_size,
-    encode_sparse,
-    sparse_message_size,
-)
+from fedsim.wire import K_UPDATE_MASKED
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CONFIGS = sorted(GOLDEN_DIR.glob("g*.json"))
@@ -140,7 +136,12 @@ def test_criterion_03_masked_aggregation_equivalence(tmp_path):
             for cid in range(n)
         ]
         plain = fedavg(updates)
-        masked = secure_round(updates, int(rng.integers(0, 2**63)))
+        # the runner's secure exchange: pads over every committed client,
+        # each masks its weighted update, the server sums
+        ids = list(range(n))
+        pads = pairwise_pads(ids, d, int(rng.integers(0, 2**63)))
+        submissions = [(u.client_id, mask_submission(u, pads)) for u in updates]
+        masked = secure_sum(submissions, sum(u.n_samples for u in updates), ids)
         worst = max(worst, float(np.max(np.abs(plain.values - masked.values))))
 
     # twin runs, identical seeds: the plaintext archive supplies the raw
@@ -256,17 +257,21 @@ def test_criterion_07_compression_bound_and_bytes():
             worst_ratio = max(worst_ratio, err / bound if bound else 0.0)
 
     k = math.ceil(0.1 * d)
-    cu = compress(rng.normal(size=d), top_k=0.1, bits=8)
-    encoded = encode_sparse(K_SPARSE8, 0, 0, cu.indices, cu.codes, 8, cu.scale)
+    v = rng.normal(size=d)
+    cu = compress(v, top_k=0.1, bits=8)
+    report = EvalReport(0.5, 0.5, 10, (5, 5))
+    sparse = build_envelope(0, 1, "g0", 10, "compressed", cu, report).byte_size
+    dense = build_envelope(0, 1, "g0", 10, "dense", ParameterVector(v), report).byte_size
+    overhead = dense - 8 * d  # header, base version, n_samples, eval block
     exact = (
         len(cu.indices) == k
-        and len(encoded) == sparse_message_size(k, 8)
-        and sparse_message_size(k, 8) == HEADER_SIZE + k * 5 + 8
+        and len(encode_payload_body(cu)) == k * 5 + 8
+        and sparse == overhead + k * 5 + 8
     )
-    within = sparse_message_size(k, 8) <= 0.10 * dense_message_size(d) + HEADER_SIZE + 8
+    within = sparse - overhead <= 0.10 * (dense - overhead) + 8  # payloads, plus the scale
     ok = exact and within
     _verdict(7, ok, f"worst error/bound {worst_ratio:.8f}, sparse "
-                    f"{sparse_message_size(k, 8)}B vs dense {dense_message_size(d)}B")
+                    f"{sparse}B vs dense {dense}B")
 
 
 def test_criterion_08_gradient_oracle():

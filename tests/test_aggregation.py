@@ -1,5 +1,7 @@
 """Aggregator equivalences, gossip mixing, and ledger integrity checks."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,12 +29,13 @@ from fedsim.aggregation import (
     record_from_json,
     record_to_json,
     run_gossip,
-    secure_round,
     secure_sum,
     staleness_factor,
 )
+from fedsim.config import parse_config
 from fedsim.errors import ConfigError, IntegrityError, PartitionError, SecureAbortError
 from fedsim.models import ParameterVector
+from fedsim.runner import run_experiment
 from fedsim.wire import K_UPDATE_DENSE, params_hash
 
 
@@ -139,17 +142,31 @@ def test_pads_cancel_for_two_clients():
     assert np.max(np.abs(masked_total - plain_total)) <= 1e-9
 
 
+def _secure_round(updates, round_seed):
+    """The runner's secure exchange without the network: pads over every
+    committed client, each masks its weighted update, the server sums."""
+    ids = [u.client_id for u in updates]
+    pads = pairwise_pads(ids, len(updates[0].params), round_seed)
+    submissions = [(u.client_id, mask_submission(u, pads)) for u in updates]
+    return secure_sum(submissions, sum(u.n_samples for u in updates), ids)
+
+
 def test_secure_round_matches_fedavg_for_five_clients():
     rng = np.random.default_rng(21)
     updates = _random_updates(rng, 5, 40)
-    gap = np.abs(secure_round(updates, round_seed=77).values - fedavg(updates).values)
+    gap = np.abs(_secure_round(updates, round_seed=77).values - fedavg(updates).values)
     assert np.max(gap) <= 1e-9
 
 
-def test_secure_round_rejects_single_contributor():
-    u = WeightedUpdate(0, ParameterVector(np.ones(4)), 3)
-    with pytest.raises(ValueError, match="at least 2"):
-        secure_round([u], round_seed=1)
+def test_secure_round_rejects_single_contributor(tmp_path):
+    # one client per round: the runner fails every round rather than mask alone
+    raw = {"n_clients": 4, "rounds": 2, "fraction_per_round": 0.25, "aggregation_mode": "secure"}
+    res = run_experiment(parse_config(raw), tmp_path)
+    assert res.ledger.versions() == ("g0",)
+    events = [json.loads(line) for line in (tmp_path / "event_log.jsonl").read_text().splitlines()]
+    failed = [e for e in events if e["event"] == "round_failed"]
+    assert [e["round"] for e in failed] == [0, 1]
+    assert all(e["reason"] == "fewer than 2 masking participants" for e in failed)
 
 
 def test_secure_sum_aborts_on_missing_participant():
@@ -187,7 +204,7 @@ def test_mask_pad_orders_pair():
 def test_secure_equivalence_property(seed, count):
     rng = np.random.default_rng(seed)
     updates = _random_updates(rng, count, 12)
-    gap = np.abs(secure_round(updates, round_seed=seed).values - fedavg(updates).values)
+    gap = np.abs(_secure_round(updates, round_seed=seed).values - fedavg(updates).values)
     assert np.max(gap) <= 1e-9
 
 
@@ -397,7 +414,10 @@ def _random_connected_graph(rng, n):
 @settings(max_examples=40, deadline=None)
 def test_mixing_matrix_is_doubly_stochastic(seed, n):
     graph = _random_connected_graph(np.random.default_rng(seed), n)
-    w = graph.mixing_matrix()
+    # one gossip step over the unit vectors reads off the mixing matrix row by row
+    unit = {node: ParameterVector(row) for node, row in zip(graph.nodes, np.eye(n))}
+    mixed = gossip_round(graph, unit)
+    w = np.stack([mixed[node].values for node in graph.nodes])
     assert np.all(w >= 0)
     assert np.max(np.abs(w - w.T)) == 0
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
@@ -461,7 +481,8 @@ def _child_record(version_id, parent, round_index):
 def test_ledger_root_lineage():
     ledger = VersionLedger()
     ledger.record(_root_record())
-    assert ledger.lineage(ROOT_VERSION) == [ROOT_VERSION]
+    assert ledger.versions() == (ROOT_VERSION,)
+    assert ledger.get(ROOT_VERSION).parent_version_id is None
 
 
 def test_ledger_three_rounds_lineage_length_four():
@@ -472,10 +493,8 @@ def test_ledger_three_rounds_lineage_length_four():
         vid = f"g{r}"
         ledger.record(_child_record(vid, parent, r))
         parent = vid
-    chain = ledger.lineage("g3")
-    assert chain == ["g3", "g2", "g1", "g0"]
-    assert len(chain) == 4
-    assert ledger.latest().version_id == "g3"
+    parents = [ledger.get(v).parent_version_id for v in ledger.versions()]
+    assert parents == [None, "g0", "g1", "g2"]
     assert ledger.versions() == ("g0", "g1", "g2", "g3")
 
 

@@ -67,7 +67,11 @@ def test_unreadable_config_exits_two(tmp_path, capsys):
 def test_starved_selection_exits_three(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
-        {**BASE, "selection": {"strategy": "uniform_random", "min_samples": 10_000}},
+        {
+            **BASE,
+            "optional_components": ["selector"],
+            "selection": {"strategy": "uniform_random", "min_samples": 10_000},
+        },
     )
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "starved" in capsys.readouterr().err

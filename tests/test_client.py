@@ -18,10 +18,8 @@ from fedsim.client import (
     Withheld,
     build_envelope,
     compress,
-    decode_envelope,
     decode_payload_body,
     decompress,
-    encode_envelope,
     encode_payload_body,
     personal_params,
     personalize_multitask,
@@ -194,14 +192,16 @@ def test_compress_is_right_inverse_on_code_domain(seed, bits):
 
 
 def test_compression_bytes_monotone():
-    from fedsim.simnet import byte_size_of
+    def size(kind, payload):
+        return build_envelope(0, 1, "g0", 5, kind, payload, _report()).byte_size
+
     rng = np.random.default_rng(9)
     x = rng.normal(size=400)
-    sizes_by_topk = [byte_size_of(compress(x, tk, 8)) for tk in (0.1, 0.5, 1.0)]
+    sizes_by_topk = [size("compressed", compress(x, tk, 8)) for tk in (0.1, 0.5, 1.0)]
     assert sizes_by_topk == sorted(sizes_by_topk)
-    sizes_by_bits = [byte_size_of(compress(x, 0.5, b)) for b in (4, 8, 16)]
+    sizes_by_bits = [size("compressed", compress(x, 0.5, b)) for b in (4, 8, 16)]
     assert sizes_by_bits == sorted(sizes_by_bits)
-    dense = byte_size_of(ParameterVector(x))
+    dense = size("dense", ParameterVector(x))
     assert all(s < dense for s in sizes_by_bits)
 
 
@@ -243,18 +243,17 @@ def test_multitask_envelope_contains_exactly_shared_len_values():
     env = rt.handle_broadcast(_mlp_pkg(), round_index=1)
     assert not isinstance(env, Withheld)
     assert len(env.payload) == MLP.shared_parameter_count
-    buf = encode_envelope(env)
-    decoded = decode_envelope(buf)
-    assert len(decoded.payload) == MLP.shared_parameter_count
+    assert len(_reference_envelope(env)) == env.byte_size
+    assert len(_body_round_trip(env)) == MLP.shared_parameter_count
 
 
 def test_private_head_never_serializes():
     rt = ClientRuntime(0, _shard(), multitask=True)
     pkg = _mlp_pkg()
     env = rt.handle_broadcast(pkg, round_index=1)
-    buf = encode_envelope(env)
-    for value in rt.personal.head:
-        assert np.float64(value).tobytes() not in buf
+    for buf in (encode_payload_body(env.payload), _reference_envelope(env)):
+        for value in rt.personal.head:
+            assert np.float64(value).tobytes() not in buf
 
 
 def test_personal_params_assembles_body_and_head():
@@ -267,7 +266,7 @@ def test_personal_params_assembles_body_and_head():
 
 
 # ---------------------------------------------------------------------------
-# envelope wire form
+# envelope sizes and payload bodies
 # ---------------------------------------------------------------------------
 
 
@@ -275,24 +274,40 @@ def _report():
     return EvalReport(0.25, 0.875, 16, (9, 7))
 
 
+def _reference_envelope(env):
+    """Reference encoder of a whole update envelope, which the program never
+    builds: header | base u32 | n_samples u32 | eval block | payload body."""
+    payload, ev = env.payload, env.local_eval
+    count = len(payload) if isinstance(payload, ParameterVector) else len(payload.indices)
+    k = len(ev.per_class_counts)
+    base = int(env.base_version_id.removeprefix("g"))
+    head = struct.pack("<6I", wire_update_kind(env), env.round_index, env.client_id, count,
+                       base, env.n_samples)
+    evb = struct.pack(f"<ddIII{k}I", ev.loss, ev.accuracy, ev.n_samples, k,
+                      int(ev.degenerate), *ev.per_class_counts)
+    return head + evb + encode_payload_body(payload)
+
+
+def _body_round_trip(env):
+    return decode_payload_body(wire_update_kind(env), encode_payload_body(env.payload))
+
+
 def test_envelope_dense_round_trip():
     payload = ParameterVector(np.random.default_rng(0).normal(size=12))
     env = build_envelope(3, 5, "g4", 40, "dense", payload, _report())
-    buf = encode_envelope(env)
-    assert len(buf) == env.byte_size
-    back = decode_envelope(buf)
-    assert back.client_id == 3 and back.round_index == 5
-    assert back.base_version_id == "g4" and back.n_samples == 40
-    assert back.local_eval == _report()
-    assert np.array_equal(back.payload.values, payload.values)
+    assert len(_reference_envelope(env)) == env.byte_size
+    assert wire_update_kind(env) == wire.K_UPDATE_DENSE
+    back = _body_round_trip(env)
+    assert np.array_equal(back.values, payload.values)
 
 
 def test_envelope_masked_round_trip():
     payload = ParameterVector(np.array([1.5, -2.5, 3.5]))
     env = build_envelope(1, 2, "g1", 10, "masked", payload, _report())
-    back = decode_envelope(encode_envelope(env))
-    assert back.payload_kind == "masked"
-    assert np.array_equal(back.payload.values, payload.values)
+    assert len(_reference_envelope(env)) == env.byte_size
+    assert wire_update_kind(env) == wire.K_UPDATE_MASKED
+    back = _body_round_trip(env)
+    assert np.array_equal(back.values, payload.values)
 
 
 @pytest.mark.parametrize("bits", [4, 8, 16])
@@ -300,21 +315,20 @@ def test_envelope_compressed_round_trip(bits):
     x = np.random.default_rng(7).normal(size=30)
     cu = compress(x, top_k=0.3, bits=bits)
     env = build_envelope(2, 9, "g8", 25, "compressed", cu, _report())
-    buf = encode_envelope(env)
-    assert len(buf) == env.byte_size
-    back = decode_envelope(buf)
-    assert back.payload.bits == bits
-    assert np.array_equal(back.payload.indices, cu.indices)
-    assert np.array_equal(back.payload.codes, cu.codes)
-    assert back.payload.scale == cu.scale
-    assert np.array_equal(decompress(back.payload, d=30), decompress(cu))
+    assert len(_reference_envelope(env)) == env.byte_size
+    back = _body_round_trip(env)
+    assert back.bits == bits
+    assert np.array_equal(back.indices, cu.indices)
+    assert np.array_equal(back.codes, cu.codes)
+    assert back.scale == cu.scale
+    assert np.array_equal(decompress(back, d=30), decompress(cu))
 
 
 def test_envelope_truncation_detected():
     payload = ParameterVector(np.zeros(4))
     env = build_envelope(0, 1, "g0", 5, "dense", payload, _report())
     with pytest.raises(CorruptMessageError):
-        decode_envelope(encode_envelope(env)[:-1])
+        decode_payload_body(wire_update_kind(env), encode_payload_body(payload)[:-1])
 
 
 def test_feature_sentinels_never_reach_the_wire():
@@ -330,8 +344,8 @@ def test_feature_sentinels_never_reach_the_wire():
     planted = dc_replace(shard, train=train)
     rt = ClientRuntime(0, planted, gate=GatePolicy())
     env = rt.handle_broadcast(_pkg(), round_index=1)
-    buf = encode_envelope(env)
-    assert np.float64(sentinel).tobytes() not in buf
+    for buf in (encode_payload_body(env.payload), _reference_envelope(env)):
+        assert np.float64(sentinel).tobytes() not in buf
 
 
 def test_payload_body_round_trip_dense():
@@ -361,10 +375,10 @@ def test_payload_body_round_trip_sparse():
 def test_empty_sparse_envelope_decodes_like_its_payload_body(bits):
     empty = CompressedUpdate(d=1, indices=[], codes=[], bits=bits, scale=0.0)
     env = build_envelope(2, 3, "g1", 5, "compressed", empty, _report())
-    back = decode_envelope(encode_envelope(env))
-    body = decode_payload_body(wire_update_kind(env), encode_payload_body(empty))
-    assert back.payload.d == body.d == 1
-    assert len(back.payload.indices) == len(body.indices) == 0
+    assert len(_reference_envelope(env)) == env.byte_size
+    body = _body_round_trip(env)
+    assert body.d == 1
+    assert len(body.indices) == 0
 
 
 def _struct_sparse_body(indices, codes, bits, scale):

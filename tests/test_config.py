@@ -148,7 +148,10 @@ def test_top_accuracy_needs_registry():
     with pytest.raises(ConfigError, match="registry"):
         parse_config({"selection": {"strategy": "top_accuracy"}})
     parse_config(
-        {"selection": {"strategy": "top_accuracy"}, "optional_components": [FLAG_REGISTRY]}
+        {
+            "selection": {"strategy": "top_accuracy"},
+            "optional_components": [FLAG_REGISTRY, "selector"],
+        }
     )
 
 
@@ -264,3 +267,32 @@ def test_secure_masking_rejects_deployment_selector(masking):
     raw = {**masking, "optional_components": [FLAG_CLUSTER, "deployment_selector"]}
     with pytest.raises(ConfigError, match="secure masking forbids the deployment_selector"):
         parse_config(raw)
+
+
+def test_one_client_without_clustering_is_accepted_and_runs():
+    # cluster.k applies only with the cluster component
+    res = run_experiment(parse_config({"n_clients": 1, "rounds": 2}), None)
+    assert res.ledger.versions() == ("g0", "g1", "g2")
+    with pytest.raises(ConfigError, match="cluster.k cannot exceed n_clients"):
+        parse_config({"n_clients": 1, "optional_components": [FLAG_CLUSTER]})
+
+
+@pytest.mark.parametrize("value", [False, [], 0, ""])
+@pytest.mark.parametrize(
+    "section", ["async", "hierarchy", "gossip", "compression", "monitor", "incentives", "cluster"]
+)
+def test_scoped_section_rejects_an_empty_non_object(section, value):
+    with pytest.raises(ConfigError, match=f"^{section}: expected an object$"):
+        parse_config({section: value})
+
+
+@pytest.mark.parametrize(
+    "selection", [{"min_samples": 5}, {"min_resource": 0.5}, {"strategy": "top_resource"}]
+)
+def test_selection_settings_require_the_selector_component(selection):
+    with pytest.raises(ConfigError, match="selection settings require the selector component"):
+        parse_config({"selection": selection})
+    cfg = parse_config({"selection": selection, "optional_components": ["selector"]})
+    assert cfg.canonical["selection"] == {**parse_config({}).canonical["selection"], **selection}
+    # the defaults written out by config.json need no selector
+    parse_config({"selection": parse_config({}).canonical["selection"]})

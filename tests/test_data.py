@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -13,7 +11,6 @@ from fedsim.data import (
     client_class_weights,
     client_sample_counts,
     collect,
-    export_shards,
     label_distribution,
     make_holdout,
     partition,
@@ -237,17 +234,6 @@ def test_label_distribution_empty_rejected():
     bad = replace(shard, train=empty, label_histogram=(0, 0))
     with pytest.raises(ValueError, match="empty"):
         label_distribution(bad)
-
-
-def test_export_jsonl(tmp_path):
-    shards = partition(PartitionSpec("iid", seed=1), SS, 2)
-    path = tmp_path / "shards.jsonl"
-    export_shards(shards, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == sum(len(s.train) for s in shards)
-    row = json.loads(lines[0])
-    assert set(row) == {"client_id", "features", "label"}
-    assert len(row["features"]) == SS.input_dim
 
 
 def test_holdout_normalized_and_deterministic():

@@ -12,6 +12,7 @@ from fedsim.models import (
     EvalReport,
     Hyperparameters,
     ParameterVector,
+    _per_sample_ce,
     central_difference,
     evaluate,
     finite_difference_gradient,
@@ -20,7 +21,6 @@ from fedsim.models import (
     local_train,
     loss_and_gradient,
     pack,
-    predict,
     save_checkpoint,
     unpack,
     weight_mask,
@@ -92,14 +92,24 @@ def _oracle_eval(values, arch, data):
 
 
 # ---------------------------------------------------------------------------
-# predict
+# class probabilities, read off the per-sample loss that evaluate uses
 # ---------------------------------------------------------------------------
+
+
+def _probs(params, arch, rows):
+    """[i, c] = exp(-cross-entropy of row i labelled c)."""
+    k = arch.num_classes
+    return np.stack(
+        [np.exp(-_per_sample_ce(params, arch, Dataset(rows, np.full(len(rows), c), k)))
+         for c in range(k)],
+        axis=1,
+    )
 
 
 def test_predict_zero_params_binary_is_uniform():
     arch = ArchDescriptor("logistic", 4, 0, 2)
     params = init_params(arch, "zeros")
-    probs = predict(params, arch, np.ones((3, 4)))
+    probs = _probs(params, arch, np.ones((3, 4)))
     assert np.allclose(probs, 0.5, atol=0)
 
 
@@ -107,8 +117,9 @@ def test_predict_saturated_logit():
     arch = ArchDescriptor("logistic", 1, 0, 2)
     # bias pushes class-1 logit to 50, class-0 stays at 0
     params = ParameterVector(np.array([0.0, 0.0, 0.0, 50.0]))
-    probs = predict(params, arch, np.zeros((1, 1)))
+    probs = _probs(params, arch, np.zeros((1, 1)))
     assert probs[0, 1] >= 1.0 - 1e-20
+    assert evaluate(params, arch, Dataset(np.zeros((1, 1)), np.array([0]), 2)).loss == 50.0
 
 
 @pytest.mark.parametrize("arch", [LOGISTIC, MLP])
@@ -116,7 +127,7 @@ def test_predict_matches_independent_forward(arch):
     params = init_params(arch, "seeded_uniform", seed=42)
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(3, arch.input_dim))
-    probs = predict(params, arch, rows)
+    probs = _probs(params, arch, rows)
     for i in range(3):
         expect = _oracle_probs(params.values, arch, rows[i])
         assert np.max(np.abs(probs[i] - np.asarray(expect))) <= 1e-12
@@ -125,7 +136,7 @@ def test_predict_matches_independent_forward(arch):
 def test_predict_rows_sum_to_one():
     params = init_params(MLP, "seeded_uniform", seed=9)
     rows = np.random.default_rng(11).normal(size=(20, 4))
-    probs = predict(params, MLP, rows)
+    probs = _probs(params, MLP, rows)
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
     assert np.all(probs >= 0.0)
 
@@ -133,7 +144,7 @@ def test_predict_rows_sum_to_one():
 def test_predict_shape_mismatch_rejected():
     params = init_params(LOGISTIC, "zeros")
     with pytest.raises(ValueError):
-        predict(params, LOGISTIC, np.zeros((2, 7)))
+        evaluate(params, LOGISTIC, Dataset(np.zeros((2, 7)), np.zeros(2, dtype=int), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +381,7 @@ def test_probability_rows_always_sum_to_one(seed, n, k):
     arch = ArchDescriptor("logistic", 3, 0, k)
     params = init_params(arch, "seeded_uniform", seed=seed)
     rows = np.random.default_rng(seed).normal(0, 4, size=(n, 3))
-    probs = predict(params, arch, rows)
+    probs = _probs(params, arch, rows)
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
 
 

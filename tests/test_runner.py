@@ -1,13 +1,17 @@
 """End-to-end runs of the experiment driver, one small config per behavior."""
 
+import ast
 import importlib
 import json
+import re
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedsim
 from fedsim import wire
 from fedsim.config import parse_config
 from fedsim.errors import ConfigError, DivergenceError, IntegrityError, SelectionStarvationError
@@ -65,7 +69,10 @@ def test_loss_improves_over_rounds_on_reliable_network():
 
 
 def test_every_round_starved_raises():
-    cfg = _cfg(selection={"strategy": "uniform_random", "min_samples": 10_000})
+    cfg = _cfg(
+        optional_components=["selector"],
+        selection={"strategy": "uniform_random", "min_samples": 10_000},
+    )
     with pytest.raises(SelectionStarvationError):
         run_experiment(cfg, None)
 
@@ -398,3 +405,45 @@ def test_benchmark_trace_sites_resolve():
             assert hasattr(owner, part), f"{name}: {module_name}.{attr} does not resolve"
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+# definitions kept although nothing in src/ or bench/ calls them
+KEPT_WITHOUT_CALLER = {
+    "load_checkpoint": "the public reader of a run's checkpoint artifact",
+    "finite_difference_gradient": "the gradient reference acceptance criterion 08 checks against",
+}
+
+
+def _references(tree) -> Counter:
+    """Names a tree refers to: identifiers, attributes, and the parts of
+    dotted-name strings such as the benchmark's trace sites."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[\w.]+", node.value):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    # no function is kept only for its own tests
+    root = Path(__file__).parents[1]
+    src = sorted((root / "src" / "fedsim").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in src + sorted(root.glob("bench/*.py"))}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    uncalled = []
+    for path in src:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            exempt = re.fullmatch(r"__\w+__", name) or name in fedsim.__all__
+            if exempt or name in KEPT_WITHOUT_CALLER:
+                continue
+            if total[name] == _references(node)[name]:
+                uncalled.append(f"{path.stem}.{name}")
+    assert uncalled == []

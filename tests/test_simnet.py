@@ -4,15 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import wire
+from fedsim.client import (
+    CompressedUpdate,
+    build_envelope,
+    compress,
+    decode_payload_body,
+    decompress,
+    encode_payload_body,
+)
 from fedsim.errors import CorruptMessageError
-from fedsim.models import ParameterVector
+from fedsim.models import EvalReport, ParameterVector
 from fedsim.simnet import (
     EVENT_DELIVER,
     EVENT_TIMER,
     Envelope,
     EventQueue,
     NetConfig,
-    byte_size_of,
     send,
 )
 
@@ -134,57 +141,65 @@ def test_queue_rejects_bad_events():
 # ---------------------------------------------------------------------------
 
 
+# an update envelope's fixed part: header, base version u32, n_samples u32 and
+# an evaluation block of 28 + 4 * 2 bytes for two classes
+_ENVELOPE_OVERHEAD = 16 + 4 + 4 + 36
+
+
+def _update_size(kind, payload):
+    report = EvalReport(0.5, 0.5, 10, (5, 5))
+    return build_envelope(1, 2, "g1", 10, kind, payload, report).byte_size
+
+
 def test_byte_size_dense_params():
     pv = ParameterVector(np.zeros(25))
-    assert byte_size_of(pv) == 16 + 8 * 25
+    assert wire.dense_message_size(25) == 16 + 8 * 25
+    assert _update_size("dense", pv) == _ENVELOPE_OVERHEAD + 8 * 25
 
 
 def test_byte_size_compressed_example():
-    from fedsim.client import compress
     rng = np.random.default_rng(1)
     cu = compress(rng.normal(size=1000), top_k=0.1, bits=8)
-    assert byte_size_of(cu) == 16 + 100 * (4 + 1) + 8 == 524
+    assert _update_size("compressed", cu) == _ENVELOPE_OVERHEAD + 100 * (4 + 1) + 8 == 568
 
 
 def test_byte_size_recompression_round_trip():
-    from fedsim.client import compress, decompress
     rng = np.random.default_rng(2)
     cu = compress(rng.normal(size=300), top_k=0.25, bits=16)
     again = compress(decompress(cu), top_k=0.25, bits=16)
-    assert byte_size_of(again) == byte_size_of(cu)
+    assert _update_size("compressed", again) == _update_size("compressed", cu)
 
 
 # ---------------------------------------------------------------------------
-# wire encoding
+# payload bodies
 # ---------------------------------------------------------------------------
 
 
 def test_dense_message_round_trip():
     values = np.random.default_rng(5).normal(size=17)
-    buf = wire.encode_dense(wire.K_PARAMS, 3, 9, values)
-    assert len(buf) == wire.dense_message_size(17)
-    kind, rnd, sender, out = wire.decode_dense(buf)
-    assert (kind, rnd, sender) == (wire.K_PARAMS, 3, 9)
-    assert np.array_equal(out, values)
+    buf = encode_payload_body(ParameterVector(values))
+    assert wire.HEADER_SIZE + len(buf) == wire.dense_message_size(17)
+    out = decode_payload_body(wire.K_UPDATE_DENSE, buf)
+    assert np.array_equal(out.values, values)
 
 
 def test_dense_message_truncation_detected():
-    buf = wire.encode_dense(wire.K_PARAMS, 0, 0, np.zeros(4))
+    buf = encode_payload_body(ParameterVector(np.zeros(4)))
     with pytest.raises(CorruptMessageError):
-        wire.decode_dense(buf[:-3])
+        decode_payload_body(wire.K_UPDATE_DENSE, buf[:-3])
 
 
 @pytest.mark.parametrize("bits", [4, 8, 16])
 def test_sparse_message_round_trip(bits):
     indices = np.array([0, 4, 9])
     codes = np.array([1, (1 << bits) - 1, 3])
-    kind = wire.SPARSE_KIND_BY_BITS[bits]
-    buf = wire.encode_sparse(kind, 2, 7, indices, codes, bits, 0.5)
-    assert len(buf) == wire.sparse_message_size(3, bits)
-    _, _, _, idx, cds, b, scale = wire.decode_sparse(buf)
-    assert b == bits and scale == 0.5
-    assert np.array_equal(idx, indices)
-    assert np.array_equal(cds, codes)
+    cu = CompressedUpdate(d=10, indices=indices, codes=codes, bits=bits, scale=0.5)
+    buf = encode_payload_body(cu)
+    assert len(buf) == 3 * (4 + wire.code_width(bits)) + 8
+    back = decode_payload_body(wire.UPDATE_SPARSE_KIND_BY_BITS[bits], buf)
+    assert back.bits == bits and back.scale == 0.5
+    assert np.array_equal(back.indices, indices)
+    assert np.array_equal(back.codes, codes)
 
 
 def test_fnv_hash_stability():
@@ -219,6 +234,4 @@ def test_fnv_vectorised_matches_byte_loop_on_random_bytes(data):
 
 
 def test_version_id_round_trip():
-    assert wire.parse_version(wire.format_version(17)) == 17
-    with pytest.raises(ValueError):
-        wire.parse_version("17")
+    assert wire.format_version(17) == "g17"
