@@ -3,8 +3,10 @@ update compression, and multi-task personalization.
 
 A client owns its shard and any personal state exclusively. Everything it
 sends travels as an UpdateEnvelope; a private head never enters one. The
-dense path uploads full parameter vectors; the compressed path uploads
-top-k quantized deltas against the broadcast parameters.
+dense path uploads the trained vector; the compressed path uploads top-k
+quantized deltas against the broadcast parameters. Under multi-task both
+cover only the shared body, and the helpers in "the multi-task segment"
+are the one place that knows where it ends.
 """
 
 from __future__ import annotations
@@ -109,19 +111,6 @@ class CompressedUpdate:
         object.__setattr__(self, "codes", codes)
 
 
-@dataclass(frozen=True, eq=False)
-class PersonalState:
-    """Client-resident private head; never serialized, never uploaded."""
-
-    shared_len: int
-    head: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.head, dtype=np.float64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "head", arr)
-
-
 @dataclass(frozen=True)
 class UpdateEnvelope:
     client_id: int
@@ -218,45 +207,32 @@ def decompress(update: CompressedUpdate, d: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# personalization
+# the multi-task segment
 # ---------------------------------------------------------------------------
+# Under multi-task an update covers only the leading body_len values of the
+# model (the shared body); the rest is the head, which stays with each
+# client. body_len is None when the whole vector is shared.
 
 
-def split_body_head(params: ParameterVector, arch: ArchDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    cut = arch.shared_parameter_count
-    if cut == 0:
-        raise ValueError("arch has no shared body to split")
-    return params.values[:cut], params.values[cut:]
+def update_core(values: np.ndarray, body_len: int | None) -> np.ndarray:
+    """The part of a model vector that an update covers."""
+    return values if body_len is None else values[:body_len]
 
 
-def personal_params(
-    arch: ArchDescriptor, body: np.ndarray, state: PersonalState
-) -> ParameterVector:
-    """Assemble the personalized model: shared body plus the private head."""
-    return ParameterVector(np.concatenate([body, state.head]))
+def dense_update(payload, base_core: np.ndarray) -> ParameterVector:
+    """The dense update a payload stands for: a dense payload as it is, a
+    compressed one as its delta added to `base_core`."""
+    if isinstance(payload, ParameterVector):
+        return payload
+    return ParameterVector(base_core + decompress(payload, d=base_core.shape[0]))
 
 
-def personalize_multitask(
-    pkg: ModelPackage,
-    shard: ClientShard,
-    hp: Hyperparameters,
-    state: PersonalState | None,
-) -> tuple[ParameterVector, PersonalState]:
-    """Train body and private head jointly; return (body update, new state).
-
-    The first round adopts the broadcast head as the initial private head.
-    Only the body segment ever leaves the client.
-    """
-    if pkg.arch.kind != "mlp":
-        raise ValueError("multi-task personalization requires an mlp arch")
-    body, bcast_head = split_body_head(pkg.params, pkg.arch)
-    head = bcast_head if state is None else state.head
-    start = ParameterVector(np.concatenate([body, head]))
-    trained = local_train(start, pkg.arch, shard.train, hp)
-    new_body, new_head = split_body_head(trained, pkg.arch)
-    return ParameterVector(new_body), PersonalState(
-        pkg.arch.shared_parameter_count, new_head
-    )
+def with_head(core: ParameterVector, parent: np.ndarray, body_len: int | None) -> ParameterVector:
+    """A whole model from an aggregated core: the core followed by the head
+    of `parent`, the model the core was aggregated against."""
+    if body_len is None:
+        return core
+    return ParameterVector(np.concatenate([core.values, parent[body_len:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +312,8 @@ def decode_payload_body(update_kind: int, buf: bytes) -> ParameterVector | Compr
     bits = wire.sparse_bits_for_update_kind(update_kind)
     if bits is None:
         raise CorruptMessageError(f"kind {update_kind} is not an update payload")
-    count, rest = divmod(len(buf) - 8, 4 + wire.code_width(bits))
-    if rest or len(buf) < 8:
-        raise CorruptMessageError("sparse payload length mismatch")
-    indices, codes, scale = wire.decode_sparse_body(buf, 0, count, bits)
-    d = int(indices[-1]) + 1 if count else 1  # d is not carried on the wire
+    indices, codes, scale = wire.decode_sparse_body(buf, bits)
+    d = int(indices[-1]) + 1 if len(indices) else 1  # d is not carried on the wire
     return CompressedUpdate(d=d, indices=indices, codes=codes, bits=bits, scale=scale)
 
 
@@ -350,7 +323,7 @@ def decode_payload_body(update_kind: int, buf: bytes) -> ParameterVector | Compr
 
 
 class ClientRuntime:
-    """Holds one client's shard, gate, compression choice, and personal state."""
+    """Holds one client's shard, gate, compression choice, and private head."""
 
     def __init__(
         self,
@@ -365,49 +338,47 @@ class ClientRuntime:
         self.gate = gate or GatePolicy()
         self.compression = compression
         self.multitask = multitask
-        self.personal: PersonalState | None = None
-
-    def train_and_evaluate(
-        self, pkg: ModelPackage, round_index: int
-    ) -> tuple[ParameterVector, EvalReport] | Withheld:
-        """Run local training; the result is the upload candidate (full
-        parameters, or the body segment under multi-task) and its local eval."""
-        hp = replace(
-            pkg.hp, seed=_round_train_seed(pkg.hp.seed, self.client_id, round_index)
-        )
-        try:
-            if self.multitask:
-                body, self.personal = personalize_multitask(
-                    pkg, self.shard, hp, self.personal
-                )
-                model = personal_params(pkg.arch, body.values, self.personal)
-                report = evaluate(model, pkg.arch, self.shard.test)
-                return body, report
-            trained = local_train(pkg.params, pkg.arch, self.shard.train, hp)
-            report = evaluate(trained, pkg.arch, self.shard.test)
-            return trained, report
-        except DivergenceError:
-            return Withheld(self.client_id, round_index, WITHHELD_DIVERGENCE)
+        # the private head under multi-task; never serialized, never uploaded
+        self.head: np.ndarray | None = None
 
     def handle_broadcast(
         self, pkg: ModelPackage, round_index: int
     ) -> UpdateEnvelope | Withheld:
-        """Full client step: train, evaluate, gate, package (maybe compressed)."""
-        result = self.train_and_evaluate(pkg, round_index)
-        if isinstance(result, Withheld):
-            return result
-        update, report = result
+        """Full client step: train, evaluate, gate, package (maybe compressed).
+
+        Under multi-task the client trains the broadcast body joined to its
+        own head (the broadcast head in its first round), keeps the trained
+        head and uploads only the body.
+        """
+        hp = replace(
+            pkg.hp, seed=_round_train_seed(pkg.hp.seed, self.client_id, round_index)
+        )
+        body_len = None
+        start = pkg.params
+        if self.multitask:
+            if pkg.arch.kind != "mlp":
+                raise ValueError("multi-task personalization requires an mlp arch")
+            body_len = pkg.arch.shared_parameter_count
+            if self.head is not None:
+                start = ParameterVector(
+                    np.concatenate([pkg.params.values[:body_len], self.head])
+                )
+        try:
+            trained = local_train(start, pkg.arch, self.shard.train, hp)
+        except DivergenceError:
+            return Withheld(self.client_id, round_index, WITHHELD_DIVERGENCE)
+        report = evaluate(trained, pkg.arch, self.shard.test)
+        if body_len is not None:
+            self.head = trained.values[body_len:]
         if not upload_gate(report, self.gate):
             return Withheld(self.client_id, round_index, WITHHELD_GATE, report)
+        update = update_core(trained.values, body_len)
         if self.compression is not None:
-            base = pkg.params.values
-            if self.multitask:
-                base = base[: pkg.arch.shared_parameter_count]
-            delta = update.values - base
+            delta = update - update_core(pkg.params.values, body_len)
             payload = compress(delta, self.compression.top_k, self.compression.bits)
             payload_kind = PAYLOAD_COMPRESSED
         else:
-            payload = update
+            payload = ParameterVector(update)
             payload_kind = PAYLOAD_DENSE
         return build_envelope(
             self.client_id,

@@ -478,6 +478,15 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         conflicts.append("selection settings require the selector component")
     if selection.strategy == STRATEGY_TOP_ACCURACY and FLAG_REGISTRY not in flags:
         conflicts.append("top_accuracy selection requires the registry component")
+    if FLAG_SELECTOR in flags and mode == MODE_DECENTRALISED:
+        conflicts.append("the selector component does not support decentralised aggregation")
+    if values["fraction_per_round"] < 1.0 and mode == MODE_DECENTRALISED:
+        conflicts.append("decentralised aggregation forbids fraction_per_round below 1")
+    custom_round = values["round"] != _section({}, "round", _ROUND, {})
+    if custom_round and mode in (MODE_ASYNC, MODE_DECENTRALISED):
+        conflicts.append("round settings require a synchronous aggregation mode")
+    if values["round"]["min_updates"] != 1 and secure_masking:
+        conflicts.append("secure masking forbids round.min_updates (it needs every masked update)")
     if monitor["drift_round"] is not None and monitor["drift_round"] >= values["rounds"]:
         conflicts.append("monitor.drift_round must fall inside the run's rounds")
     if FLAG_CLUSTER in flags and cluster["k"] > values["n_clients"]:

@@ -13,7 +13,17 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss. Message names the epoch and batch."""
+    """A run left float64 range. From training, the message names the epoch
+    and batch; from aggregation, it names the round."""
+
+
+class NonFiniteError(ValueError):
+    """A parameter vector would hold an inf or nan entry.
+
+    Raised by the ParameterVector constructor. An aggregate can overflow
+    although every update it combines is finite; the runner turns this error
+    into a DivergenceError naming the round.
+    """
 
 
 class SelectionStarvationError(RuntimeError):

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, NonFiniteError
 
 KIND_LOGISTIC = "logistic"
 KIND_MLP = "mlp"
@@ -58,7 +58,7 @@ class ParameterVector:
         if arr.ndim != 1:
             raise ValueError(f"parameter vector must be 1-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("parameter vector contains non-finite entries")
+            raise NonFiniteError("parameter vector contains non-finite entries")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

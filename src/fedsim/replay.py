@@ -33,7 +33,7 @@ from .aggregation import (
     run_gossip,
     secure_sum,
 )
-from .client import CompressedUpdate, decode_payload_body, decompress
+from .client import decode_payload_body, dense_update, update_core, with_head
 from .errors import ArchiveError, CorruptMessageError, IntegrityError
 from .models import ParameterVector
 
@@ -90,19 +90,6 @@ def _decoded_payloads(rec: GlobalVersionRecord, archive) -> dict[int, object]:
     return out
 
 
-def _as_update(payload, base: np.ndarray) -> ParameterVector:
-    """Dense payloads stand alone; compressed ones are deltas off `base`."""
-    if isinstance(payload, CompressedUpdate):
-        return ParameterVector(base + decompress(payload, d=base.shape[0]))
-    return payload
-
-
-def _base_core(params: np.ndarray, rec: GlobalVersionRecord) -> np.ndarray:
-    if rec.update_segment == SEGMENT_BODY:
-        return params[: rec.detail["body_len"]]
-    return params
-
-
 def _recompute(rec, archive, clean: dict[str, np.ndarray]) -> np.ndarray:
     mode = rec.aggregation_mode
     if mode == MODE_INIT:
@@ -113,24 +100,26 @@ def _recompute(rec, archive, clean: dict[str, np.ndarray]) -> np.ndarray:
 
     payloads = _decoded_payloads(rec, archive)
     parent = clean[rec.parent_version_id]
+    body_len = rec.detail["body_len"] if rec.update_segment == SEGMENT_BODY else None
+
+    def update(c) -> ParameterVector:
+        return dense_update(payloads[c.client_id], update_core(clean[c.base_version], body_len))
 
     if mode == MODE_SECURE:
         ids = [c.client_id for c in rec.contributors]
         total_n = sum(c.n_samples for c in rec.contributors)
         subs = [(c.client_id, payloads[c.client_id].values) for c in rec.contributors]
-        core = secure_sum(subs, total_n, ids).values
+        core = secure_sum(subs, total_n, ids)
     elif mode == MODE_ASYNC:
         (c,) = rec.contributors
-        base = _base_core(clean[c.base_version], rec)
-        update = _as_update(payloads[c.client_id], base)
         core = async_merge(
-            ParameterVector(_base_core(parent, rec).copy()),
-            update,
+            ParameterVector(update_core(parent, body_len)),
+            update(c),
             rec.detail["current_round"],
             rec.detail["base_round"],
             rec.detail["alpha0"],
             rec.detail["decay"],
-        ).values
+        )
     elif mode == MODE_GOSSIP:
         graph = GossipGraph(
             [c.client_id for c in rec.contributors],
@@ -141,25 +130,15 @@ def _recompute(rec, archive, clean: dict[str, np.ndarray]) -> np.ndarray:
             for c in rec.contributors
         }
         states = run_gossip(graph, states, rec.detail["steps"])
-        core = node_mean(states).values
+        core = node_mean(states)
     else:
-        weighted = [
-            WeightedUpdate(
-                c.client_id,
-                _as_update(payloads[c.client_id], _base_core(clean[c.base_version], rec)),
-                c.n_samples,
-            )
-            for c in rec.contributors
-        ]
+        weighted = [WeightedUpdate(c.client_id, update(c), c.n_samples) for c in rec.contributors]
         if mode == MODE_HIERARCHICAL:
             groups = [EdgeGroup(e, members) for e, members in rec.detail["groups"]]
-            core = hierarchical_aggregate(groups, weighted).values
+            core = hierarchical_aggregate(groups, weighted)
         else:
-            core = fedavg(weighted).values
-
-    if rec.update_segment == SEGMENT_BODY:
-        return np.concatenate([core, parent[rec.detail["body_len"]:]])
-    return core
+            core = fedavg(weighted)
+    return with_head(core, parent, body_len).values
 
 
 def verify_ledger(ledger: VersionLedger, archive: dict[str, bytes]) -> list[VersionCheck]:

@@ -9,15 +9,23 @@ candidates come back for the mode to send and aggregate. Every random
 draw is keyed by the master seed plus a salt, so a config replays to
 byte-identical artifacts (run_meta.json, which records wall-clock
 timestamps, is the single exception).
+
+Three rules have one owner each. The multi-task segment belongs to
+client's update_core, dense_update and with_head, keyed by `body_len` and
+shared with replay. A non-finite aggregate raises NonFiniteError, which
+`run` turns into one DivergenceError naming the round `_begin_round` opened
+last (in async, the open wave). A round's metrics counters are added where
+their events happen (`_send`, `_select`, `_mint`); `_post_round` reads and
+drops them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import datetime
 import json
 import struct
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,7 +34,6 @@ import numpy as np
 from . import wire
 from .aggregation import (
     MODE_ASYNC,
-    MODE_FEDAVG,
     MODE_GOSSIP,
     MODE_HIERARCHICAL,
     MODE_INIT,
@@ -57,9 +64,11 @@ from .client import (
     Withheld,
     WITHHELD_DIVERGENCE,
     build_envelope,
-    decompress,
+    dense_update,
     encode_payload_body,
+    update_core,
     wire_update_kind,
+    with_head,
 )
 from .config import (
     FLAG_CLUSTER,
@@ -78,6 +87,7 @@ from .errors import (
     ConfigError,
     DivergenceError,
     IntegrityError,
+    NonFiniteError,
     SecureAbortError,
     SelectionStarvationError,
 )
@@ -134,22 +144,6 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-@contextlib.contextmanager
-def _numeric_guard(round_index: int):
-    """Overflowed aggregates surface as divergence, not invariant errors.
-
-    Individual updates can stay just inside float64 range while their
-    weighted sum does not; the parameter-vector constructor rejects the
-    non-finite result with ValueError and this remaps it.
-    """
-    try:
-        yield
-    except ValueError as e:
-        if "non-finite" in str(e):
-            raise DivergenceError(f"round {round_index}: {e}") from None
-        raise
-
-
 class ExperimentRunner:
     def __init__(self, cfg: ExperimentConfig, out_dir: str | Path | None = None):
         self.cfg = cfg
@@ -201,8 +195,8 @@ class ExperimentRunner:
             )
             for cid, shard in enumerate(self.shards)
         }
-        self.multitask = multitask
-        self.shared_len = cfg.arch.shared_parameter_count if multitask else None
+        # the length of the shared body an update covers; None: the whole vector
+        self.body_len = cfg.arch.shared_parameter_count if multitask else None
 
         _, pkg = create_job(cfg.arch, cfg.hp, cfg.init_mode, job_id=cfg.run_id)
         self.ledger = VersionLedger()
@@ -242,8 +236,9 @@ class ExperimentRunner:
         self._starved = 0
         self._boost_next = False
         self._to_reactivate: list[int] = []
-        self._round_up = 0
-        self._round_down = 0
+        self._round = 0
+        # per-round counters for metrics.jsonl, dropped once the row is written
+        self._tally: defaultdict[int, Counter] = defaultdict(Counter)
         self._round_max_time = 0.0
         self._t_start = time.monotonic()
 
@@ -273,10 +268,8 @@ class ExperimentRunner:
     def _send(self, label, net, sender, receiver, nbytes, sent_at, round_index):
         self._msg_seq += 1
         env = send(net, sender, receiver, nbytes, sent_at, self._msg_seq)
-        if sender == wire.SERVER_SENDER:
-            self._round_down += nbytes
-        else:
-            self._round_up += nbytes
+        direction = "bytes_down" if sender == wire.SERVER_SENDER else "bytes_up"
+        self._tally[round_index][direction] += nbytes
         if env.delivered_at is not None and env.delivered_at > self._round_max_time:
             self._round_max_time = env.delivered_at
         self._log(
@@ -295,14 +288,13 @@ class ExperimentRunner:
         return env
 
     def _begin_round(self, r: int) -> float:
+        self._round = r
         for cid in self._to_reactivate:
             self.registry.reactivate(cid)
             self._log({"event": "registry", "round": r, "client_id": cid, "change": "reactivated"})
         self._to_reactivate = []
         if self.cfg.drift_round is not None and r == self.cfg.drift_round:
             self._inject_drift(r)
-        self._round_up = 0
-        self._round_down = 0
         self._round_max_time = self.clock
         fraction = 1.0 if self._boost_next else self.cfg.fraction
         if self._boost_next:
@@ -334,17 +326,9 @@ class ExperimentRunner:
             self._to_reactivate.append(cid)
             self._log({"event": "registry", "round": r, "client_id": cid, "change": "dropped"})
 
-    def _splice_head(self, body: ParameterVector, parent: ParameterVector) -> ParameterVector:
-        head = parent.values[self.shared_len:]
-        return ParameterVector(np.concatenate([body.values, head]))
-
     def _reconstruct(self, env: UpdateEnvelope, base: ParameterVector) -> ParameterVector:
         """The dense update a payload stands for, against its broadcast base."""
-        if isinstance(env.payload, ParameterVector):
-            return env.payload
-        base_vals = base.values if self.shared_len is None else base.values[: self.shared_len]
-        delta = decompress(env.payload, d=base_vals.shape[0])
-        return ParameterVector(base_vals + delta)
+        return dense_update(env.payload, update_core(base.values, self.body_len))
 
     def _archive_blob(self, blob: bytes) -> str:
         """Content hash of `blob`, archiving it when the run writes payloads."""
@@ -373,11 +357,12 @@ class ExperimentRunner:
     def _mint(self, params, contributors, r, mode, detail) -> str:
         vid = wire.format_version(self._next_version_n)
         self._next_version_n += 1
-        segment = SEGMENT_BODY if self.multitask else SEGMENT_FULL
-        if self.multitask:
+        self._tally[r]["n_received"] += len(contributors)
+        segment = SEGMENT_FULL
+        if self.body_len is not None:
             # replay needs the split point; payloads alone cannot supply it
             # once they are compressed
-            detail = {**detail, "body_len": self.shared_len}
+            segment, detail = SEGMENT_BODY, {**detail, "body_len": self.body_len}
         rec = GlobalVersionRecord(
             vid,
             self.latest_vid,
@@ -419,8 +404,9 @@ class ExperimentRunner:
     # per-round wrap-up: deploy, monitor, metrics
     # ------------------------------------------------------------------
 
-    def _post_round(self, r, n_selected, n_received, bytes_up, bytes_down) -> None:
+    def _post_round(self, r: int) -> None:
         cfg = self.cfg
+        tally = self._tally.pop(r, Counter())
         params = self.version_params[self.latest_vid]
         report = evaluate_global(params, cfg.arch, self.holdout)
         triggers = 0
@@ -483,10 +469,10 @@ class ExperimentRunner:
                 "version_id": self.latest_vid,
                 "global_acc": float(report.accuracy),
                 "global_loss": float(report.loss),
-                "n_selected": n_selected,
-                "n_received": n_received,
-                "bytes_up": bytes_up,
-                "bytes_down": bytes_down,
+                "n_selected": tally["n_selected"],
+                "n_received": tally["n_received"],
+                "bytes_up": tally["bytes_up"],
+                "bytes_down": tally["bytes_down"],
                 "triggers": triggers,
             }
         )
@@ -498,13 +484,15 @@ class ExperimentRunner:
     def _select(self, r: int, fraction: float):
         """This round's selection plan, or None when selection starves."""
         try:
-            return select_clients(
+            plan = select_clients(
                 self.registry, self.cfg.selection, fraction, r, self.cfg.seed, self.latest_vid
             )
         except SelectionStarvationError:
             self._starved += 1
             self._log({"event": "starved", "round": r})
             return None
+        self._tally[r]["n_selected"] += len(plan.selected)
+        return plan
 
     def _broadcast(self, r, selected, pkg, sent_at):
         """Send `pkg` to each selected client in turn, yielding (client,
@@ -577,11 +565,8 @@ class ExperimentRunner:
         for c in range(self.cfg.cluster_k):
             members = [w for w in weighted if self.cluster_assignment[w.client_id] == c]
             if members:
-                model = fedavg(members)
-                if self.multitask:
-                    model = self._splice_head(model, parent)
                 mid = f"{vid}-c{c}"
-                self.model_store[mid] = model
+                self.model_store[mid] = with_head(fedavg(members), parent.values, self.body_len)
                 ids[c] = mid
             else:
                 ids[c] = vid
@@ -591,7 +576,7 @@ class ExperimentRunner:
         cfg = self.cfg
         plan = self._select(r, self._begin_round(r))
         if plan is None:
-            self._post_round(r, 0, 0, 0, 0)
+            self._post_round(r)
             return
         pkg = self._package()
         cutoff = self._cutoff()
@@ -612,15 +597,10 @@ class ExperimentRunner:
         self._finish_round_clock()
         responded = [c.client_id for c in contributors]
         self._drop_nonresponders(r, plan.selected, responded)
-        if agg is None:
-            self._post_round(r, len(plan.selected), 0, self._round_up, self._round_down)
-            return
-
-        params = self._splice_head(agg, pkg.params) if self.multitask else agg
-        self._mint(params, contributors, r, minted_mode, detail)
-        self._post_round(
-            r, len(plan.selected), len(contributors), self._round_up, self._round_down
-        )
+        if agg is not None:
+            params = with_head(agg, pkg.params.values, self.body_len)
+            self._mint(params, contributors, r, minted_mode, detail)
+        self._post_round(r)
 
     def _fedavg_exchange(self, r, pkg, delivered, cutoff):
         arrivals = []
@@ -632,16 +612,14 @@ class ExperimentRunner:
             self._log({"event": "round_failed", "round": r, "reason": "too few updates"})
             return {}, [], None
         arrivals.sort(key=lambda env: env.client_id)
-        with _numeric_guard(r):
-            weighted = [
-                WeightedUpdate(env.client_id, self._reconstruct(env, pkg.params), env.n_samples)
-                for env in arrivals
-            ]
-            agg = fedavg(weighted)
+        weighted = [
+            WeightedUpdate(env.client_id, self._reconstruct(env, pkg.params), env.n_samples)
+            for env in arrivals
+        ]
+        agg = fedavg(weighted)
         contributors = [self._accept(env) for env in arrivals]
         vid_next = wire.format_version(self._next_version_n)
-        with _numeric_guard(r):
-            self._update_cluster_models(vid_next, weighted, pkg.params)
+        self._update_cluster_models(vid_next, weighted, pkg.params)
         return {}, contributors, agg
 
     def _secure_exchange(self, r, pkg, delivered, cutoff):
@@ -672,10 +650,8 @@ class ExperimentRunner:
             if t_up is not None:
                 arrivals.append(sub)
         try:
-            with _numeric_guard(r):
-                agg = secure_sum(
-                    [(env.client_id, env.payload.values) for env in arrivals], total_n, ids
-                )
+            subs = [(env.client_id, env.payload.values) for env in arrivals]
+            agg = secure_sum(subs, total_n, ids)
         except SecureAbortError as e:
             self._log({"event": "secure_abort", "round": r, "reason": str(e)})
             self._log({"event": "round_failed", "round": r, "reason": "masking participant lost"})
@@ -692,7 +668,7 @@ class ExperimentRunner:
             t_edge = self._upload("update", cid, wire.EDGE_SENDER_BASE + edge, env.byte_size, t, r)
             if t_edge is not None:
                 edge_arrivals.setdefault(edge, []).append((cid, env, t_edge))
-        dim = len(pkg.params) if not self.multitask else self.shared_len
+        dim = len(update_core(pkg.params.values, self.body_len))
         groups = []
         members_by_edge = {}
         for edge in sorted(edge_arrivals):
@@ -711,16 +687,15 @@ class ExperimentRunner:
             return {}, [], None
         weighted = []
         contributors = []
-        with _numeric_guard(r):
-            for edge in sorted(members_by_edge):
-                for cid, env, _ in members_by_edge[edge]:
-                    weighted.append(
-                        WeightedUpdate(cid, self._reconstruct(env, pkg.params), env.n_samples)
-                    )
-                    contributors.append(self._accept(env))
-            agg = hierarchical_aggregate(groups, weighted)
-            vid_next = wire.format_version(self._next_version_n)
-            self._update_cluster_models(vid_next, weighted, pkg.params)
+        for edge in sorted(members_by_edge):
+            for cid, env, _ in members_by_edge[edge]:
+                weighted.append(
+                    WeightedUpdate(cid, self._reconstruct(env, pkg.params), env.n_samples)
+                )
+                contributors.append(self._accept(env))
+        agg = hierarchical_aggregate(groups, weighted)
+        vid_next = wire.format_version(self._next_version_n)
+        self._update_cluster_models(vid_next, weighted, pkg.params)
         detail = {"groups": [[g.edge_id, list(g.member_ids)] for g in groups]}
         return detail, contributors, agg
 
@@ -736,6 +711,7 @@ class ExperimentRunner:
         size = wire.dense_message_size(cfg.arch.parameter_count)
         for r in range(cfg.rounds):
             self._begin_round(r)
+            self._tally[r]["n_selected"] += cfg.n_clients
             # every node trains from its own state; no broadcast precedes it
             nodes = [(cid, self.clock) for cid in graph.nodes]
             pkgs = {
@@ -753,12 +729,10 @@ class ExperimentRunner:
                     for s_node, d_node in ((a, b), (b, a)):
                         env = self._send("gossip", reliable, s_node, d_node, size, t, r)
                         step_end = max(step_end, env.delivered_at)
-                with _numeric_guard(r):
-                    states = gossip_round(graph, states)
+                states = gossip_round(graph, states)
                 t = step_end
             self.clock = t
-            with _numeric_guard(r):
-                params = node_mean(states)
+            params = node_mean(states)
             contributors = []
             for cid in graph.nodes:
                 if cid in envs:
@@ -771,9 +745,7 @@ class ExperimentRunner:
                 contributors.append(Contributor(cid, digest, n, kind, self.latest_vid))
             detail = {"edges": [list(e) for e in graph.edges], "steps": cfg.gossip_steps}
             self._mint(params, contributors, r, MODE_GOSSIP, detail)
-            self._post_round(
-                r, cfg.n_clients, cfg.n_clients, self._round_up, self._round_down
-            )
+            self._post_round(r)
 
     # ------------------------------------------------------------------
     # asynchronous waves
@@ -784,15 +756,6 @@ class ExperimentRunner:
         q = EventQueue()
         for r in range(cfg.rounds):
             q.schedule(r * cfg.async_round_interval_s, EVENT_TIMER, payload=r)
-        sel = [0] * cfg.rounds
-        recv = [0] * cfg.rounds
-        up = [0] * cfg.rounds
-        down = [0] * cfg.rounds
-        wave = 0
-
-        def close_wave(w: int) -> None:
-            self._post_round(w, sel[w], recv[w], up[w], down[w])
-
         while True:
             ev = q.pop()
             if ev is None:
@@ -800,12 +763,10 @@ class ExperimentRunner:
             if ev.kind == EVENT_TIMER:
                 r = ev.payload
                 if r > 0:
-                    close_wave(r - 1)
-                wave = r
+                    self._post_round(r - 1)
                 plan = self._select(r, self._begin_round(r))
                 if plan is None:
                     continue
-                sel[r] = len(plan.selected)
                 pkg = self._package()
                 # lazy: each broadcast goes out just before its client trains
                 delivered = self._broadcast(r, plan.selected, pkg, ev.time_s)
@@ -813,26 +774,19 @@ class ExperimentRunner:
                     t_up = self._upload("update", cid, wire.SERVER_SENDER, env.byte_size, t, r)
                     if t_up is not None:
                         q.schedule(t_up, EVENT_DELIVER, payload=env)
-                up[r] += self._round_up
-                down[r] += self._round_down
             else:
+                # an update merges into the wave that is open when it arrives
+                wave = self._round
                 env = ev.payload
                 base_rec = self.ledger.get(env.base_version_id)
                 parent = self.version_params[self.latest_vid]
-                with _numeric_guard(wave):
-                    update = self._reconstruct(env, self.version_params[env.base_version_id])
-                    merged_core = async_merge(
-                        parent if not self.multitask else ParameterVector(
-                            parent.values[: self.shared_len]
-                        ),
-                        update,
-                        wave,
-                        base_rec.created_at_round,
-                        cfg.async_alpha0,
-                        cfg.async_decay,
-                    )
-                params = (
-                    self._splice_head(merged_core, parent) if self.multitask else merged_core
+                merged_core = async_merge(
+                    ParameterVector(update_core(parent.values, self.body_len)),
+                    self._reconstruct(env, self.version_params[env.base_version_id]),
+                    wave,
+                    base_rec.created_at_round,
+                    cfg.async_alpha0,
+                    cfg.async_decay,
                 )
                 detail = {
                     "alpha0": cfg.async_alpha0,
@@ -840,9 +794,9 @@ class ExperimentRunner:
                     "current_round": wave,
                     "base_round": base_rec.created_at_round,
                 }
+                params = with_head(merged_core, parent.values, self.body_len)
                 self._mint(params, [self._accept(env)], wave, MODE_ASYNC, detail)
-                recv[wave] += 1
-        close_wave(cfg.rounds - 1)
+        self._post_round(cfg.rounds - 1)
 
     # ------------------------------------------------------------------
     # entry point and artifacts
@@ -850,13 +804,17 @@ class ExperimentRunner:
 
     def run(self) -> RunResult:
         cfg = self.cfg
-        if cfg.aggregation_mode == MODE_DECENTRALISED:
-            self._run_gossip()
-        elif cfg.aggregation_mode == MODE_ASYNC:
-            self._run_async()
-        else:
-            for r in range(cfg.rounds):
-                self._run_sync_round(r)
+        try:
+            if cfg.aggregation_mode == MODE_DECENTRALISED:
+                self._run_gossip()
+            elif cfg.aggregation_mode == MODE_ASYNC:
+                self._run_async()
+            else:
+                for r in range(cfg.rounds):
+                    self._run_sync_round(r)
+        except NonFiniteError as e:
+            # every update can be finite while the aggregate of them is not
+            raise DivergenceError(f"round {self._round}: {e}") from None
         if self._starved == cfg.rounds:
             raise SelectionStarvationError(
                 f"selection starved in every one of {cfg.rounds} rounds"

@@ -199,15 +199,16 @@ def encode_sparse_body(indices, codes, bits: int, scale: float) -> bytes:
     return out.tobytes() + _F64.pack(scale)
 
 
-def decode_sparse_body(buf, offset: int, count: int, bits: int):
-    """(indices, codes, scale) of the `count`-entry sparse payload at `offset`,
-    which must end the buffer exactly."""
+def decode_sparse_body(buf, bits: int):
+    """(indices, codes, scale) of a sparse payload that fills `buf` exactly."""
     entry = _sparse_entry(bits)
-    need = offset + count * entry.itemsize + 8
-    if len(buf) != need:
-        raise CorruptMessageError(f"sparse payload length {len(buf)}, expected {need}")
-    entries = np.frombuffer(buf, dtype=entry, count=count, offset=offset)
-    (scale,) = _F64.unpack_from(buf, need - 8)
+    count, rest = divmod(len(buf) - 8, entry.itemsize)
+    if count < 0 or rest:
+        raise CorruptMessageError(
+            f"sparse payload length {len(buf)} is not 8 plus a multiple of {entry.itemsize}"
+        )
+    entries = np.frombuffer(buf, dtype=entry, count=count)
+    (scale,) = _F64.unpack_from(buf, len(buf) - 8)
     return entries["index"].astype(np.int64), entries["code"].astype(np.int64), scale
 
 

@@ -11,7 +11,6 @@ from fedsim.aggregation import (
     MODE_FEDAVG,
     MODE_INIT,
     ROOT_VERSION,
-    SEGMENT_FULL,
     Contributor,
     EdgeGroup,
     GlobalVersionRecord,

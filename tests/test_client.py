@@ -14,16 +14,13 @@ from fedsim.client import (
     CompressionSpec,
     GatePolicy,
     ModelPackage,
-    PersonalState,
     Withheld,
+    _round_train_seed,
     build_envelope,
     compress,
     decode_payload_body,
     decompress,
     encode_payload_body,
-    personal_params,
-    personalize_multitask,
-    split_body_head,
     upload_gate,
     wire_update_kind,
 )
@@ -109,7 +106,6 @@ def test_handle_broadcast_matches_composed_ops():
     env = rt.handle_broadcast(pkg, round_index=2)
 
     # independent composition of the public single-step operations
-    from fedsim.client import _round_train_seed
     hp = replace(pkg.hp, seed=_round_train_seed(pkg.hp.seed, 0, 2))
     trained = local_train(pkg.params, pkg.arch, shard.train, hp)
     report = evaluate(trained, pkg.arch, shard.test)
@@ -224,18 +220,18 @@ def _mlp_pkg():
 
 def test_personalize_zero_rate_is_identity():
     pkg = _mlp_pkg()
-    hp = replace(pkg.hp, learning_rate=0.0)
-    body, state = personalize_multitask(pkg, _shard(), hp, None)
-    bcast_body, bcast_head = split_body_head(pkg.params, MLP)
-    assert np.array_equal(body.values, bcast_body)
-    assert np.array_equal(state.head, bcast_head)
-    assert state.shared_len == MLP.shared_parameter_count
+    pkg = replace(pkg, hp=replace(pkg.hp, learning_rate=0.0))
+    rt = ClientRuntime(0, _shard(), multitask=True)
+    env = rt.handle_broadcast(pkg, round_index=1)
+    cut = MLP.shared_parameter_count
+    assert np.array_equal(env.payload.values, pkg.params.values[:cut])
+    assert np.array_equal(rt.head, pkg.params.values[cut:])
 
 
 def test_personalize_rejects_logistic():
-    pkg = _pkg()
+    rt = ClientRuntime(0, _shard(), multitask=True)
     with pytest.raises(ValueError, match="mlp"):
-        personalize_multitask(pkg, _shard(), HP, None)
+        rt.handle_broadcast(_pkg(), round_index=1)
 
 
 def test_multitask_envelope_contains_exactly_shared_len_values():
@@ -252,17 +248,27 @@ def test_private_head_never_serializes():
     pkg = _mlp_pkg()
     env = rt.handle_broadcast(pkg, round_index=1)
     for buf in (encode_payload_body(env.payload), _reference_envelope(env)):
-        for value in rt.personal.head:
+        for value in rt.head:
             assert np.float64(value).tobytes() not in buf
 
 
 def test_personal_params_assembles_body_and_head():
+    # the second round trains the new broadcast body joined to the client's
+    # own head, not to the broadcast head
     pkg = _mlp_pkg()
-    body, head = split_body_head(pkg.params, MLP)
-    state = PersonalState(MLP.shared_parameter_count, head * 2.0)
-    full = personal_params(MLP, body, state)
-    assert np.array_equal(full.values[: len(body)], body)
-    assert np.array_equal(full.values[len(body):], head * 2.0)
+    cut = MLP.shared_parameter_count
+    rt = ClientRuntime(0, _shard(), multitask=True)
+    rt.handle_broadcast(pkg, round_index=1)
+    own_head = rt.head
+    assert not np.array_equal(own_head, pkg.params.values[cut:])
+    second = replace(pkg, version_id="g1", params=ParameterVector(pkg.params.values * 0.5))
+    env = rt.handle_broadcast(second, round_index=2)
+    hp = replace(second.hp, seed=_round_train_seed(second.hp.seed, 0, 2))
+    start = ParameterVector(np.concatenate([second.params.values[:cut], own_head]))
+    trained = local_train(start, MLP, rt.shard.train, hp)
+    assert np.array_equal(env.payload.values, trained.values[:cut])
+    assert np.array_equal(rt.head, trained.values[cut:])
+    assert env.local_eval == evaluate(trained, MLP, rt.shard.test)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +406,12 @@ def test_sparse_codec_matches_struct_reference(bits, count):
         indices[-1], codes[-1] = 2**32 - 1, field_max
     ref = _struct_sparse_body(indices, codes, bits, 0.375)
     assert wire.encode_sparse_body(indices, codes, bits, 0.375) == ref
-    idx, cds, scale = wire.decode_sparse_body(ref, 0, len(indices), bits)
+    idx, cds, scale = wire.decode_sparse_body(ref, bits)
     assert idx.tolist() == [int(i) for i in indices]
     assert cds.tolist() == [int(c) for c in codes]
     assert scale == 0.375
     with pytest.raises(CorruptMessageError):
-        wire.decode_sparse_body(ref[:-1], 0, len(indices), bits)
+        wire.decode_sparse_body(ref[:-1], bits)
 
 
 @pytest.mark.parametrize(

@@ -296,3 +296,43 @@ def test_selection_settings_require_the_selector_component(selection):
     assert cfg.canonical["selection"] == {**parse_config({}).canonical["selection"], **selection}
     # the defaults written out by config.json need no selector
     parse_config({"selection": parse_config({}).canonical["selection"]})
+
+
+GOSSIP = {"aggregation_mode": "decentralised"}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            {"aggregation_mode": "async", "round": {"deadline_s": 1.0}},
+            "round settings require a synchronous aggregation mode",
+        ),
+        ({**GOSSIP, "round": {"min_updates": 2}}, "round settings require a synchronous"),
+        (
+            {"aggregation_mode": "secure", "round": {"min_updates": 4}},
+            "secure masking forbids round.min_updates",
+        ),
+        (
+            {"secure_masking": True, "round": {"min_updates": 2}},
+            "secure masking forbids round.min_updates",
+        ),
+        (
+            {**GOSSIP, "fraction_per_round": 0.5},
+            "decentralised aggregation forbids fraction_per_round below 1",
+        ),
+        (
+            {**GOSSIP, "optional_components": ["selector"], "selection": {"min_samples": 10_000}},
+            "the selector component does not support decentralised aggregation",
+        ),
+    ],
+    ids=["async-round", "gossip-round", "secure-min-updates", "masking-min-updates",
+         "gossip-fraction", "gossip-selector"],
+)
+def test_setting_that_changes_nothing_is_a_named_conflict(raw, message):
+    # each of these ran, and gave the artifacts of its default, before it was rejected
+    with pytest.raises(ConfigError, match=message.replace(".", r"\.")):
+        parse_config(raw)
+    # the default values, as config.json writes them, are still accepted
+    defaults = parse_config({}).canonical
+    parse_config({**raw, **{key: defaults[key] for key in raw if key != "aggregation_mode"}})

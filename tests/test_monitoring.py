@@ -17,7 +17,6 @@ from fedsim.monitoring import (
     DECISION_REJECT,
     DeployPolicy,
     DeploymentSelector,
-    IncentiveAccount,
     MonitorState,
     accrue_incentive,
     decide_deploy,

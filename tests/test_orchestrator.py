@@ -19,7 +19,6 @@ from fedsim.orchestrator import (
     STATUS_FLAGGED,
     STRATEGY_TOP_ACCURACY,
     STRATEGY_TOP_RESOURCE,
-    STRATEGY_UNIFORM,
     ClientRegistry,
     SelectionCriteria,
     cluster_clients,

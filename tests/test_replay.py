@@ -31,6 +31,12 @@ def _run(tmp_path, **overrides):
     return out
 
 
+MULTITASK = {
+    "init_mode": "seeded_uniform",
+    "arch": {"kind": "mlp", "input_dim": 4, "num_classes": 3, "hidden_dim": 8},
+}
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -39,13 +45,28 @@ def _run(tmp_path, **overrides):
         {"aggregation_mode": "hierarchical", "hierarchy": {"n_edges": 2}},
         {"aggregation_mode": "decentralised", "gossip": {"steps_per_round": 2}},
         {"aggregation_mode": "async"},
+        {**MULTITASK, "optional_components": ["co_versioning", "compressor", "multitask"]},
         {
-            "init_mode": "seeded_uniform",
-            "arch": {"kind": "mlp", "input_dim": 4, "num_classes": 3, "hidden_dim": 8},
+            **MULTITASK,
+            "aggregation_mode": "async",
             "optional_components": ["co_versioning", "compressor", "multitask"],
         },
+        {
+            **MULTITASK,
+            "aggregation_mode": "hierarchical",
+            "optional_components": ["co_versioning", "multitask"],
+        },
     ],
-    ids=["fedavg", "secure", "hierarchical", "gossip", "async", "multitask-compressed"],
+    ids=[
+        "fedavg",
+        "secure",
+        "hierarchical",
+        "gossip",
+        "async",
+        "multitask-compressed",
+        "async-multitask-compressed",
+        "hierarchical-multitask",
+    ],
 )
 def test_untampered_run_replays_to_full_match(tmp_path, overrides):
     out = _run(tmp_path, **overrides)

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import fedsim
-from fedsim import wire
+from fedsim import runner, wire
 from fedsim.config import parse_config
 from fedsim.errors import ConfigError, DivergenceError, IntegrityError, SelectionStarvationError
+from fedsim.models import ParameterVector
 from fedsim.runner import ExperimentRunner, run_experiment
 
 METRIC_KEYS = {
@@ -28,6 +29,9 @@ METRIC_KEYS = {
     "bytes_down",
     "triggers",
 }
+
+
+NON_FINITE = "round {}: parameter vector contains non-finite entries"
 
 
 def _cfg(**overrides):
@@ -91,13 +95,47 @@ def test_batch_larger_than_smallest_shard_is_rejected_at_setup(raw, smallest):
         ExperimentRunner(parse_config(raw))
 
 
-def test_overflowing_learning_rate_raises_divergence():
-    cfg = _cfg(
-        rounds=2,
-        net={"dropout_prob": 0.0},
-        hp={"learning_rate": 1e308, "epochs": 2},
-    )
-    with pytest.raises(DivergenceError):
+def _merge_overflowing_from_wave(wave):
+    """An async merge that leaves float64 range from `wave` on, as a merge of
+    two huge updates that pull in opposite directions does."""
+    real = runner.async_merge
+
+    def merge(global_params, update, current_round, *rest):
+        if current_round >= wave:
+            update = ParameterVector(update.values / np.abs(update.values).max() * 1e308)
+            global_params = ParameterVector(-update.values)
+        return real(global_params, update, current_round, *rest)
+
+    return merge
+
+
+@pytest.mark.parametrize(
+    "overrides, merge_overflows_from, message",
+    [
+        ({"hp": {"learning_rate": 1e308, "epochs": 2}}, None, "round 0: every training client"),
+        ({"hp": {"learning_rate": 1e307}}, None, NON_FINITE.format(0)),
+        (
+            {
+                "aggregation_mode": "hierarchical",
+                "hierarchy": {"n_edges": 2},
+                "hp": {"learning_rate": 1e307},
+            },
+            None,
+            NON_FINITE.format(0),
+        ),
+        ({"aggregation_mode": "async"}, 1, NON_FINITE.format(1)),
+    ],
+    ids=["training", "fedavg", "hierarchical", "async"],
+)
+def test_overflowing_learning_rate_raises_divergence(
+    overrides, merge_overflows_from, message, monkeypatch
+):
+    # each client's update is finite; their aggregate is not
+    if merge_overflows_from is not None:
+        merge = _merge_overflowing_from_wave(merge_overflows_from)
+        monkeypatch.setattr(runner, "async_merge", merge)
+    cfg = _cfg(rounds=2, net={"dropout_prob": 0.0}, **overrides)
+    with pytest.raises(DivergenceError, match=f"^{message}"):
         run_experiment(cfg, None)
 
 
@@ -447,3 +485,24 @@ def test_every_definition_has_a_caller_outside_tests():
             if total[name] == _references(node)[name]:
                 uncalled.append(f"{path.stem}.{name}")
     assert uncalled == []
+
+
+def test_every_import_is_used():
+    # package re-exports and __future__ switches are imported for their effect
+    root = Path(__file__).parents[1]
+    paths = sorted((root / "src" / "fedsim").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(root)}: {name}")
+    assert unused == []

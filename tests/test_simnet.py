@@ -17,7 +17,6 @@ from fedsim.models import EvalReport, ParameterVector
 from fedsim.simnet import (
     EVENT_DELIVER,
     EVENT_TIMER,
-    Envelope,
     EventQueue,
     NetConfig,
     send,
