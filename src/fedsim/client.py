@@ -165,7 +165,8 @@ def compress(values: np.ndarray, top_k: float, bits: int) -> CompressedUpdate:
     """Keep the ceil(top_k * d) largest-magnitude coordinates and quantize
     them uniformly over [-m, m] with 2^bits - 1 steps, m the kept maximum.
 
-    Magnitude ties resolve to the lower index.
+    Magnitude ties resolve to the lower index. Raises DivergenceError when
+    the range 2m leaves float64.
     """
     spec = CompressionSpec(top_k, bits)  # validates both arguments
     if isinstance(values, ParameterVector):
@@ -179,6 +180,8 @@ def compress(values: np.ndarray, top_k: float, bits: int) -> CompressedUpdate:
     kept = np.sort(order[:k])
     m = float(np.max(np.abs(v[kept])))
     steps = (1 << bits) - 1
+    if not math.isfinite(2.0 * m):
+        raise DivergenceError(f"compression range 2 * {m!r} leaves float64")
     if m == 0.0:
         codes = np.zeros(k, dtype=np.int64)
     else:
@@ -363,23 +366,24 @@ class ClientRuntime:
                 start = ParameterVector(
                     np.concatenate([pkg.params.values[:body_len], self.head])
                 )
+        # training and compression both raise DivergenceError past float64
         try:
             trained = local_train(start, pkg.arch, self.shard.train, hp)
+            report = evaluate(trained, pkg.arch, self.shard.test)
+            if body_len is not None:
+                self.head = trained.values[body_len:]
+            if not upload_gate(report, self.gate):
+                return Withheld(self.client_id, round_index, WITHHELD_GATE, report)
+            update = update_core(trained.values, body_len)
+            if self.compression is not None:
+                delta = update - update_core(pkg.params.values, body_len)
+                payload = compress(delta, self.compression.top_k, self.compression.bits)
+                payload_kind = PAYLOAD_COMPRESSED
+            else:
+                payload = ParameterVector(update)
+                payload_kind = PAYLOAD_DENSE
         except DivergenceError:
             return Withheld(self.client_id, round_index, WITHHELD_DIVERGENCE)
-        report = evaluate(trained, pkg.arch, self.shard.test)
-        if body_len is not None:
-            self.head = trained.values[body_len:]
-        if not upload_gate(report, self.gate):
-            return Withheld(self.client_id, round_index, WITHHELD_GATE, report)
-        update = update_core(trained.values, body_len)
-        if self.compression is not None:
-            delta = update - update_core(pkg.params.values, body_len)
-            payload = compress(delta, self.compression.top_k, self.compression.bits)
-            payload_kind = PAYLOAD_COMPRESSED
-        else:
-            payload = ParameterVector(update)
-            payload_kind = PAYLOAD_DENSE
         return build_envelope(
             self.client_id,
             round_index,

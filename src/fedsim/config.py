@@ -537,10 +537,10 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
 
 
 def compute_run_id(canonical: dict) -> str:
-    from .wire import hash_hex
+    from .wire import fnv1a64
 
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
-    return hash_hex(blob)
+    return f"{fnv1a64(blob):016x}"
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:

@@ -36,7 +36,8 @@ class ConflictError(ValueError):
 
 class IntegrityError(RuntimeError):
     """Version ledger or payload archive consistency violation (unknown parent,
-    duplicate id, two payloads with one content hash)."""
+    duplicate id, two payloads with one content hash, a ledger hashed with
+    another algorithm)."""
 
 
 class PartitionError(ValueError):

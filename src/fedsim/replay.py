@@ -81,7 +81,7 @@ def _decoded_payloads(rec: GlobalVersionRecord, archive) -> dict[int, object]:
     out = {}
     for c in rec.contributors:
         blob = archive[c.payload_hash]
-        if wire.hash_hex(blob) != c.payload_hash:
+        if wire.content_hash(blob) != c.payload_hash:
             raise _Mismatch(f"payload content for client {c.client_id} does not hash as recorded")
         try:
             out[c.client_id] = decode_payload_body(c.update_kind, blob)
@@ -94,7 +94,7 @@ def _recompute(rec, archive, clean: dict[str, np.ndarray]) -> np.ndarray:
     mode = rec.aggregation_mode
     if mode == MODE_INIT:
         blob = archive[rec.params_hash]
-        if wire.hash_hex(blob) != rec.params_hash:
+        if wire.content_hash(blob) != rec.params_hash:
             raise _Mismatch("archived root parameters do not hash as recorded")
         return np.frombuffer(blob, dtype="<f8").copy()
 
@@ -144,8 +144,9 @@ def _recompute(rec, archive, clean: dict[str, np.ndarray]) -> np.ndarray:
 def verify_ledger(ledger: VersionLedger, archive: dict[str, bytes]) -> list[VersionCheck]:
     """Fold forward through the ledger, checking every recorded hash.
 
-    Raises ArchiveError when the root parameters are not archived at all;
-    every other problem becomes a per-version status.
+    Raises IntegrityError when the root names another content hash than
+    wire.CONTENT_HASH, and ArchiveError when the root parameters are not
+    archived at all; every other problem becomes a per-version status.
     """
     versions = ledger.versions()
     if not versions:
@@ -153,6 +154,12 @@ def verify_ledger(ledger: VersionLedger, archive: dict[str, bytes]) -> list[Vers
     root = ledger.get(versions[0])
     if root.parent_version_id is not None:
         raise IntegrityError("ledger does not start at a root version")
+    # a root that names no algorithm is from before BLAKE2b, when hashes were FNV-1a
+    algorithm = root.detail.get("content_hash", "fnv1a-64")
+    if algorithm != wire.CONTENT_HASH:
+        raise IntegrityError(
+            f"ledger content hashes are {algorithm}; replay recomputes {wire.CONTENT_HASH}"
+        )
     if root.params_hash not in archive:
         raise ArchiveError(f"archive is missing the root parameters [{root.params_hash}]")
 

@@ -204,7 +204,10 @@ class ExperimentRunner:
         self._archive: dict[str, bytes] = {}
         root_hash = self._archive_blob(wire.params_bytes(pkg.params.values))
         self.ledger.record(
-            GlobalVersionRecord(ROOT_VERSION, None, root_hash, (), 0, MODE_INIT)
+            GlobalVersionRecord(
+                ROOT_VERSION, None, root_hash, (), 0, MODE_INIT,
+                detail={"content_hash": wire.CONTENT_HASH},
+            )
         )
         self.version_params: dict[str, ParameterVector] = {ROOT_VERSION: pkg.params}
         self.latest_vid = ROOT_VERSION
@@ -332,7 +335,7 @@ class ExperimentRunner:
 
     def _archive_blob(self, blob: bytes) -> str:
         """Content hash of `blob`, archiving it when the run writes payloads."""
-        digest = wire.hash_hex(blob)
+        digest = wire.content_hash(blob)
         if self.cfg.has(FLAG_CO_VERSIONING):
             held = self._archive.setdefault(digest, blob)
             if held != blob:

@@ -10,17 +10,15 @@ payloads are one (index u32, quantized code of ceil(bits/8) bytes) entry per
 kept coordinate followed by one float64 scale. The encodings are bit-exact:
 equal inputs produce equal bytes.
 
-Content hashes are 64-bit FNV-1a over these canonical bytes, rendered as 16
-hex digits. Inputs of VECTOR_MIN_BYTES or more are hashed with numpy, with the
-byte loop's exact digests. The xor alters only the state's low byte lo, so
-h ^ b = h + d with d = (lo ^ b) - lo, and h_n = h_0 P^n + sum_i d_i P^(n-i)
-mod 2^64 is one uint64 dot product. The low bytes follow lo' = ((lo ^ b) * 0xB3)
-mod 256; as 0xB3 is odd, bit k of lo' is bit k of lo xor a function of b and
-lower bits, so eight vectorised prefix-xor passes give every lo.
+Content hashes are BLAKE2b with an 8-byte digest (CONTENT_HASH) over these
+canonical bytes, rendered as 16 hex digits. Seeds and the run id keep 64-bit
+FNV-1a: seeds feed the random generators and the run id names a run's
+directory, so neither may change.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -78,85 +76,22 @@ def broadcast_message_size(d: int) -> int:
 # hashing / version ids
 # ---------------------------------------------------------------------------
 
+CONTENT_HASH = "blake2b-64"
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-# Inputs of at least this many bytes are hashed with numpy; shorter ones
-# (seeds, the config hash) with the byte loop, which is faster below about
-# 1 KiB because the vectorised form costs ~100 numpy calls whatever the length.
-VECTOR_MIN_BYTES = 1024
-# The vectorised form hashes long inputs in chunks of this many bytes, which
-# bounds its table of powers of the prime and its per-call scratch arrays.
-_VECTOR_CHUNK_BYTES = 1 << 16
-_BYTE_ONES = np.uint64(0x0101010101010101)
 
-
-def _fnv1a64_loop(data: bytes) -> int:
+def fnv1a64(data: bytes) -> int:
     h = _FNV_OFFSET
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _U64
     return h
 
 
-def _prime_powers(n: int) -> np.ndarray:
-    """[i] = P^(i+1) mod 2^64 for i < n, n a power of two, built by doubling."""
-    powers = np.array([_FNV_PRIME], dtype=np.uint64)
-    while len(powers) < n:
-        powers = np.concatenate([powers, powers * np.uint64(pow(_FNV_PRIME, len(powers), 1 << 64))])
-    return powers
-
-
-_PRIME_POWERS = _prime_powers(_VECTOR_CHUNK_BYTES)
-
-
-def _fnv1a64_numpy(h: int, data) -> int:
-    """FNV-1a state after feeding non-empty `data` to state `h`."""
-    n = len(data)
-    b = np.frombuffer(data, dtype=np.uint8)
-    # lo[i] is the low byte of the state before byte i, solved one bit per
-    # pass; its tail past n is padding that fills the last uint64 word.
-    size = (n + 8) & ~7
-    lo = np.zeros(size, dtype=np.uint8)
-    col = np.zeros(size, dtype=np.uint8)
-    words = col.view("<u8")
-    shifted = np.empty_like(words)
-    scratch = np.empty(n, dtype=np.uint8)
-    for k in range(8):
-        bit = 1 << k
-        # while lo's bits >= k are still zero, bit k of (lo[i] ^ b[i]) * 0xB3 is
-        # what byte i flips in bit k of the low byte: bit k of lo is its prefix xor
-        col[0] = h & bit
-        np.bitwise_xor(lo[:n], b, out=scratch)
-        np.multiply(scratch, _FNV_PRIME & 0xFF, out=scratch)
-        np.bitwise_and(scratch, bit, out=col[1 : n + 1])
-        # prefix xor over bytes: within each word, then across words
-        for shift in (8, 16, 32):
-            np.left_shift(words, shift, out=shifted)
-            words ^= shifted
-        carry = np.bitwise_xor.accumulate(words >> 56)
-        words[1:] ^= carry[:-1] * _BYTE_ONES
-        lo |= col
-    low = lo[:n]
-    delta = (low ^ b).astype(np.int64)
-    delta -= low
-    powers = _PRIME_POWERS[:n]
-    total = int(np.dot(delta.view(np.uint64)[::-1], powers))
-    return (h * int(powers[-1]) + total) & _U64
-
-
-def fnv1a64(data: bytes) -> int:
-    if len(data) < VECTOR_MIN_BYTES:
-        return _fnv1a64_loop(data)
-    h = _FNV_OFFSET
-    view = memoryview(data)
-    for start in range(0, len(view), _VECTOR_CHUNK_BYTES):
-        h = _fnv1a64_numpy(h, view[start : start + _VECTOR_CHUNK_BYTES])
-    return h
-
-
-def hash_hex(data: bytes) -> str:
-    return f"{fnv1a64(data):016x}"
+def content_hash(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 def params_bytes(values: np.ndarray) -> bytes:
@@ -165,7 +100,7 @@ def params_bytes(values: np.ndarray) -> bytes:
 
 
 def params_hash(values: np.ndarray) -> str:
-    return hash_hex(params_bytes(values))
+    return content_hash(params_bytes(values))
 
 
 def format_version(n: int) -> str:

@@ -25,7 +25,7 @@ from fedsim.client import (
     wire_update_kind,
 )
 from fedsim.data import PartitionSpec, SyntheticSpec, partition
-from fedsim.errors import CorruptMessageError
+from fedsim.errors import CorruptMessageError, DivergenceError
 from fedsim.models import (
     ArchDescriptor,
     EvalReport,
@@ -144,6 +144,11 @@ def test_compress_all_zero_keeps_empty_semantics():
     cu = compress(np.zeros(10), top_k=0.3, bits=4)
     assert cu.scale == 0.0
     assert np.array_equal(decompress(cu), np.zeros(10))
+
+
+def test_compress_range_past_float64_is_divergence():
+    with pytest.raises(DivergenceError, match="compression range"):
+        compress(np.array([1e308, -1.5e308, 0.0]), top_k=1.0, bits=8)
 
 
 def test_compress_short_vector_keeps_at_least_one():

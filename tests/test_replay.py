@@ -1,10 +1,13 @@
 """Recomputing ledgered versions from archived payloads, honest and tampered."""
 
+import json
+
 import pytest
 
 from fedsim.aggregation import VersionLedger
+from fedsim.cli import main
 from fedsim.config import parse_config
-from fedsim.errors import ArchiveError
+from fedsim.errors import ArchiveError, IntegrityError
 from fedsim.replay import (
     STATUS_HASH_MISMATCH,
     STATUS_MATCH,
@@ -128,6 +131,29 @@ def test_missing_root_parameters_abort_the_replay(tmp_path):
     with pytest.raises(ArchiveError) as err:
         replay_run(out / "ledger.jsonl", out / "payloads")
     assert root_hash in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "detail, named",
+    [({}, "fnv1a-64"), ({"content_hash": "sha256"}, "sha256")],
+    ids=["fnv-era-root", "other-algorithm"],
+)
+def test_ledger_hashed_with_another_algorithm_is_a_named_error(tmp_path, capsys, detail, named):
+    out = _run(tmp_path)
+    ledger_path = out / "ledger.jsonl"
+    lines = ledger_path.read_text().splitlines()
+    root = json.loads(lines[0])
+    assert root["detail"] == {"content_hash": "blake2b-64"}
+    lines[0] = json.dumps({**root, "detail": detail}, sort_keys=True)
+    ledger_path.write_text("\n".join(lines) + "\n")
+
+    with pytest.raises(IntegrityError) as err:
+        replay_run(ledger_path, out / "payloads")
+    message = f"ledger content hashes are {named}; replay recomputes blake2b-64"
+    assert str(err.value) == message
+    code = main(["replay", "--ledger", str(ledger_path), "--archive", str(out / "payloads")])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_missing_payload_directory_aborts(tmp_path):

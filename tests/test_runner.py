@@ -139,6 +139,31 @@ def test_overflowing_learning_rate_raises_divergence(
         run_experiment(cfg, None)
 
 
+def test_compression_overflow_withholds_the_client_as_divergence(tmp_path):
+    # clients 0, 1 and 3 train to finite models whose delta's largest kept
+    # magnitude m exceeds half the float64 range, so the quantizer's 2m does not
+    raw = {
+        "seed": 1,
+        "rounds": 2,
+        "n_clients": 4,
+        "aggregation_mode": "async",
+        "init_mode": "seeded_uniform",
+        "arch": {"kind": "mlp", "input_dim": 4, "num_classes": 3, "hidden_dim": 6},
+        "async": {"alpha0": 0.99, "decay": 0.0, "round_interval_s": 0.001},
+        "net": {"dropout_prob": 0.0},
+        "hp": {"learning_rate": 1.7e308, "batch_size": 32},
+        "data": {"partition": {"mode": "dirichlet_label_skew", "alpha": 0.1}},
+        "optional_components": ["compressor"],
+    }
+    run = ExperimentRunner(parse_config(raw), tmp_path / "run")
+    res = run.run()
+    withheld = [
+        (e["round"], e["client_id"], e["reason"]) for e in run.events if e["event"] == "withheld"
+    ]
+    assert withheld == [(r, cid, "divergence") for r in (0, 1) for cid in (0, 1, 3)]
+    assert res.final_version_id == "g2"
+
+
 def test_secure_round_matches_plain_average():
     # same seed, loss-free links: masking must not change the aggregate
     # beyond pad cancellation noise
@@ -412,7 +437,7 @@ def test_archive_holds_root_and_contributor_payloads(tmp_path):
 
 
 def test_archive_rejects_two_payloads_with_one_hash(tmp_path, monkeypatch):
-    monkeypatch.setattr(wire, "hash_hex", lambda data: "00000000deadbeef")
+    monkeypatch.setattr(wire, "content_hash", lambda data: "00000000deadbeef")
     cfg = _cfg(net={"dropout_prob": 0.0}, optional_components=["co_versioning"])
     with pytest.raises(IntegrityError, match="00000000deadbeef"):
         run_experiment(cfg, tmp_path / "run")
