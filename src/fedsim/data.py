@@ -13,6 +13,7 @@ and never sees pooled moments.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,14 @@ class SyntheticSpec:
         if self.samples_per_client < 1:
             raise ValueError("samples_per_client must be >= 1")
 
+    @cached_property
+    def class_means(self) -> np.ndarray:
+        """Per-class blob centres, drawn once per spec and read-only."""
+        rng = np.random.default_rng([self.seed, _SALT_MEANS])
+        means = rng.normal(0.0, self.class_mean_scale, size=(self.num_classes, self.input_dim))
+        means.setflags(write=False)
+        return means
+
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -98,11 +107,6 @@ class ClientShard:
 # ---------------------------------------------------------------------------
 
 
-def class_means(spec: SyntheticSpec) -> np.ndarray:
-    rng = np.random.default_rng([spec.seed, _SALT_MEANS])
-    return rng.normal(0.0, spec.class_mean_scale, size=(spec.num_classes, spec.input_dim))
-
-
 def _check_weights(weights, num_classes: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (num_classes,):
@@ -129,8 +133,7 @@ def collect(
     cum = np.cumsum(w)
     cum[-1] = 1.0  # guard the rounding tail
     labels = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
-    means = class_means(spec)
-    feats = means[labels] + rng.normal(0.0, spec.noise_sigma, size=(n, spec.input_dim))
+    feats = spec.class_means[labels] + rng.normal(0.0, spec.noise_sigma, size=(n, spec.input_dim))
     return Dataset(feats, labels, spec.num_classes)
 
 
@@ -226,8 +229,8 @@ def make_holdout(ss: SyntheticSpec, n_samples: int, seed: int) -> Dataset:
     labels = np.searchsorted(
         np.arange(1, ss.num_classes + 1) / ss.num_classes, rng.random(n_samples), side="right"
     ).astype(np.int64)
-    means = class_means(ss)
-    feats = means[labels] + rng.normal(0.0, ss.noise_sigma, size=(n_samples, ss.input_dim))
+    noise = rng.normal(0.0, ss.noise_sigma, size=(n_samples, ss.input_dim))
+    feats = ss.class_means[labels] + noise
     scaled, _ = preprocess(Dataset(feats, labels, ss.num_classes))
     return scaled
 

@@ -9,6 +9,14 @@ Parameter layout is canonical: layer by layer, weight matrix in row-major
 order, then that layer's bias vector. All per-sample reductions (mean loss,
 accuracy) accumulate strictly left to right so independent re-computation
 can reproduce them.
+
+One kernel, `_sgd_kernel`, computes a batch's loss and gradient for both
+`local_train` and `loss_and_gradient`, on per-layer (weights, bias) views of
+a raw float64 array. Its order: one forward pass to the logits; the row max
+m, exp(logits - m) and the row sums s, which give both the per-sample
+cross-entropy m + log(s) - logit[label] and the probabilities exp(...) / s;
+the mean loss; the backward pass, adding l2 * weights to each weight
+gradient last. `local_train` updates its views in place, `w -= lr * gw`.
 """
 
 from __future__ import annotations
@@ -186,12 +194,16 @@ def layer_shapes(arch: ArchDescriptor) -> list[tuple[tuple[int, int], int]]:
 
 def unpack(params: ParameterVector, arch: ArchDescriptor) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a flat vector into per-layer (weights, bias) read-only views."""
-    if len(params) != arch.parameter_count:
+    return _layers(params.values, arch)
+
+
+def _layers(flat: np.ndarray, arch: ArchDescriptor) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weights, bias) views of a flat array; writes go through."""
+    if flat.shape[0] != arch.parameter_count:
         raise ValueError(
-            f"parameter vector has {len(params)} entries, arch needs {arch.parameter_count}"
+            f"parameter vector has {flat.shape[0]} entries, arch needs {arch.parameter_count}"
         )
     out = []
-    flat = params.values
     pos = 0
     for (rows, cols), blen in layer_shapes(arch):
         w = flat[pos : pos + rows * cols].reshape(rows, cols)
@@ -235,15 +247,18 @@ def init_params(arch: ArchDescriptor, mode: str, seed: int = 0) -> ParameterVect
 # ---------------------------------------------------------------------------
 
 
-def _forward(params: ParameterVector, arch: ArchDescriptor, features: np.ndarray):
-    """Returns (logits, hidden activations or None)."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != arch.input_dim:
+def _check_fit(arch: ArchDescriptor, data: Dataset, what: str) -> None:
+    if data.num_classes != arch.num_classes:
+        raise ValueError(f"{what} num_classes disagrees with arch")
+    if data.features.shape[1] != arch.input_dim:
         raise ValueError(
-            f"features shape {x.shape} incompatible with input_dim {arch.input_dim}"
+            f"features shape {data.features.shape} incompatible with input_dim {arch.input_dim}"
         )
-    layers = unpack(params, arch)
-    if arch.kind == KIND_LOGISTIC:
+
+
+def _logits(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
+    """Returns (logits, hidden activations or None)."""
+    if len(layers) == 1:
         w, b = layers[0]
         return x @ w + b, None
     (w1, b1), (w2, b2) = layers
@@ -251,19 +266,62 @@ def _forward(params: ParameterVector, arch: ArchDescriptor, features: np.ndarray
     return hidden @ w2 + b2, hidden
 
 
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Per-sample cross-entropy, exp(logits - row max) and its row sums."""
+    m = logits.max(axis=1, keepdims=True)
+    expd = np.exp(logits - m)
+    sums = expd.sum(axis=1, keepdims=True)
+    ce = m[:, 0] + np.log(sums[:, 0]) - logits[np.arange(labels.shape[0]), labels]
+    return ce, expd, sums
+
+
 def _per_sample_ce(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> np.ndarray:
-    logits, _ = _forward(params, arch, data.features)
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    true_logit = logits[np.arange(len(data)), data.labels]
-    return lse - true_logit
+    _check_fit(arch, data, "data")
+    logits, _ = _logits(unpack(params, arch), data.features)
+    return _cross_entropy(logits, data.labels)[0]
 
 
-def _penalty(params: ParameterVector, arch: ArchDescriptor, l2: float) -> float:
+def _penalty(flat: np.ndarray, mask: np.ndarray | None, l2: float) -> float:
+    """(l2/2)*||weights||^2 over the coordinates `mask` selects (None when l2 is 0)."""
     if l2 == 0.0:
         return 0.0
-    w = params.values[weight_mask(arch)]
+    w = flat[mask]
     return 0.5 * l2 * float(w @ w)
+
+
+def _sgd_kernel(
+    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, labels: np.ndarray, l2: float
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """One forward and one backward pass over a batch.
+
+    Returns the mean cross-entropy, without the penalty, and the per-layer
+    (weights, bias) gradients of mean cross-entropy plus (l2/2)*||weights||^2.
+    """
+    n = labels.shape[0]
+    logits, hidden = _logits(layers, x)
+    ce, dlogits, sums = _cross_entropy(logits, labels)
+    loss = seq_sum(ce.tolist()) / n
+    dlogits /= sums  # softmax probabilities
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+
+    if hidden is None:
+        gw = x.T @ dlogits
+        if l2 != 0.0:
+            gw = gw + l2 * layers[0][0]
+        return loss, [(gw, dlogits.sum(axis=0))]
+
+    (w1, _b1), (w2, _b2) = layers
+    gw2 = hidden.T @ dlogits
+    gb2 = dlogits.sum(axis=0)
+    dhidden = dlogits @ w2.T
+    dpre = dhidden * (1.0 - hidden * hidden)
+    gw1 = x.T @ dpre
+    gb1 = dpre.sum(axis=0)
+    if l2 != 0.0:
+        gw1 = gw1 + l2 * w1
+        gw2 = gw2 + l2 * w2
+    return loss, [(gw1, gb1), (gw2, gb2)]
 
 
 def loss_and_gradient(
@@ -278,42 +336,10 @@ def loss_and_gradient(
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
-    if batch.num_classes != arch.num_classes:
-        raise ValueError("batch num_classes disagrees with arch")
-    n = len(batch)
-    x = batch.features
-    logits, hidden = _forward(params, arch, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=1, keepdims=True)
-
-    loss = seq_sum(_per_sample_ce(params, arch, batch).tolist()) / n
-    loss += _penalty(params, arch, l2)
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), batch.labels] -= 1.0
-    dlogits /= n
-
-    layers = unpack(params, arch)
-    if arch.kind == KIND_LOGISTIC:
-        (w, _b) = layers[0]
-        gw = x.T @ dlogits
-        if l2 != 0.0:
-            gw = gw + l2 * w
-        gb = dlogits.sum(axis=0)
-        return loss, pack([(gw, gb)])
-
-    (w1, _b1), (w2, _b2) = layers
-    gw2 = hidden.T @ dlogits
-    gb2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ w2.T
-    dpre = dhidden * (1.0 - hidden * hidden)
-    gw1 = x.T @ dpre
-    gb1 = dpre.sum(axis=0)
-    if l2 != 0.0:
-        gw1 = gw1 + l2 * w1
-        gw2 = gw2 + l2 * w2
-    return loss, pack([(gw1, gb1), (gw2, gb2)])
+    _check_fit(arch, batch, "batch")
+    loss, grads = _sgd_kernel(unpack(params, arch), batch.features, batch.labels, l2)
+    loss += _penalty(params.values, weight_mask(arch), l2)
+    return loss, pack(grads)
 
 
 def evaluate(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> EvalReport:
@@ -322,15 +348,13 @@ def evaluate(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> Ev
     Empty data yields a degenerate report (zero loss/accuracy) rather than an
     error. Argmax ties resolve to the lowest class index.
     """
-    if data.num_classes != arch.num_classes:
-        raise ValueError("data num_classes disagrees with arch")
+    _check_fit(arch, data, "data")
     k = arch.num_classes
     if len(data) == 0:
         return EvalReport(0.0, 0.0, 0, tuple([0] * k), degenerate=True)
     n = len(data)
-    ce = _per_sample_ce(params, arch, data)
-    loss = seq_sum(ce.tolist()) / n
-    logits, _ = _forward(params, arch, data.features)
+    logits, _ = _logits(unpack(params, arch), data.features)
+    loss = seq_sum(_cross_entropy(logits, data.labels)[0].tolist()) / n
     predicted = np.argmax(logits, axis=1)  # first max wins on ties
     hits = int(np.count_nonzero(predicted == data.labels))
     counts = np.bincount(data.labels, minlength=k)
@@ -351,42 +375,39 @@ def local_train(
     """Minibatch SGD over `data`, shuffled per epoch from hp.seed.
 
     Pure: equal inputs give bit-identical outputs. Batches are consecutive
-    slices of the shuffled order; a short trailing batch is kept. A non-finite
-    batch loss or gradient aborts with DivergenceError naming the epoch
-    and batch.
+    slices of the shuffled order; a short trailing batch is kept. Data that
+    does not fit `arch` is a ValueError before the first batch. A non-finite
+    batch gradient, loss or updated parameter vector aborts with
+    DivergenceError naming the epoch and batch.
     """
     n = len(data)
     if n == 0:
         raise ValueError("empty training data")
     if hp.batch_size > n:
         raise ValueError(f"batch_size {hp.batch_size} exceeds shard size {n}")
-    rng = np.random.default_rng(hp.seed)
+    _check_fit(arch, data, "data")
     current = params.values.copy()
-    for epoch in range(hp.epochs):
-        order = rng.permutation(n)
-        for bi, start in enumerate(range(0, n, hp.batch_size)):
-            idx = order[start : start + hp.batch_size]
-            batch = Dataset(data.features[idx], data.labels[idx], data.num_classes)
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    loss, grad = loss_and_gradient(
-                        ParameterVector(current), arch, batch, l2=hp.l2
-                    )
-            except ValueError:
-                # overflowed logits poison the gradient before any check here
-                raise DivergenceError(
-                    f"non-finite gradient at epoch {epoch + 1} batch {bi + 1}"
-                ) from None
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch + 1} batch {bi + 1}"
-                )
-            with np.errstate(over="ignore", invalid="ignore"):
-                current = current - hp.learning_rate * grad.values
-            if not np.all(np.isfinite(current)):
-                raise DivergenceError(
-                    f"non-finite parameters at epoch {epoch + 1} batch {bi + 1}"
-                )
+    layers = _layers(current, arch)
+    mask = weight_mask(arch) if hp.l2 != 0.0 else None
+    rng = np.random.default_rng(hp.seed)
+    # overflow poisons the loss, gradient or parameters; the checks below name it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hp.epochs):
+            order = rng.permutation(n)
+            for bi, start in enumerate(range(0, n, hp.batch_size)):
+                idx = order[start : start + hp.batch_size]
+                loss, grads = _sgd_kernel(layers, data.features[idx], data.labels[idx], hp.l2)
+                loss += _penalty(current, mask, hp.l2)
+                at = f"at epoch {epoch + 1} batch {bi + 1}"
+                if not all(np.isfinite(g).all() for pair in grads for g in pair):
+                    raise DivergenceError(f"non-finite gradient {at}")
+                if not math.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss {at}")
+                for (w, b), (gw, gb) in zip(layers, grads):
+                    w -= hp.learning_rate * gw
+                    b -= hp.learning_rate * gb
+                if not np.isfinite(current).all():
+                    raise DivergenceError(f"non-finite parameters {at}")
     return ParameterVector(current)
 
 
@@ -422,7 +443,7 @@ def finite_difference_gradient(
     def objective(w: np.ndarray) -> float:
         pv = ParameterVector(w)
         ce = seq_sum(_per_sample_ce(pv, arch, batch).tolist()) / len(batch)
-        return ce + _penalty(pv, arch, l2)
+        return ce + _penalty(pv.values, weight_mask(arch), l2)
 
     if len(batch) == 0:
         raise ValueError("empty batch")

@@ -22,6 +22,7 @@ from fedsim.models import (
     loss_and_gradient,
     pack,
     save_checkpoint,
+    seq_sum,
     unpack,
     weight_mask,
 )
@@ -276,6 +277,47 @@ def test_batch_size_larger_than_shard_rejected():
         local_train(init_params(arch, "zeros"), arch, data, hp)
 
 
+def _reference_sgd(params, arch, data, hp):
+    """Per-batch SGD through the public API: a Dataset and a ParameterVector
+    per batch, the flat gradient from loss_and_gradient."""
+    rng = np.random.default_rng(hp.seed)
+    current = params.values
+    for _ in range(hp.epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), hp.batch_size):
+            idx = order[start : start + hp.batch_size]
+            batch = Dataset(data.features[idx], data.labels[idx], data.num_classes)
+            _, grad = loss_and_gradient(ParameterVector(current), arch, batch, l2=hp.l2)
+            current = current - hp.learning_rate * grad.values
+    return current
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.01])
+@pytest.mark.parametrize("arch", [LOGISTIC, MLP])
+def test_local_train_equals_reference_sgd_bit_for_bit(arch, l2):
+    # 23 samples in batches of 5 leave a short trailing batch of 3
+    data = _blob_data(23, seed=31, num_classes=3)
+    params = init_params(arch, "seeded_uniform", seed=32)
+    hp = Hyperparameters(learning_rate=0.3, epochs=3, batch_size=5, l2=l2, seed=33)
+    trained = local_train(params, arch, data, hp)
+    assert np.array_equal(trained.values, _reference_sgd(params, arch, data, hp))
+
+
+@pytest.mark.parametrize(
+    "params, data",
+    [
+        (init_params(MLP, "zeros"), _blob_data(12, seed=1, input_dim=3, num_classes=3)),
+        (init_params(MLP, "zeros"), _blob_data(12, seed=1, input_dim=4, num_classes=2)),
+        (ParameterVector(np.zeros(MLP.parameter_count - 1)), _blob_data(12, seed=1, num_classes=3)),
+    ],
+    ids=["feature-width", "num-classes", "parameter-count"],
+)
+def test_local_train_shape_mismatch_is_a_value_error_not_divergence(params, data):
+    hp = Hyperparameters(learning_rate=0.1, epochs=1, batch_size=4, l2=0.0, seed=0)
+    with pytest.raises(ValueError):
+        local_train(params, MLP, data, hp)
+
+
 def test_divergence_aborts_loudly():
     # absurd learning rate on steep data blows the loss up
     rng = np.random.default_rng(0)
@@ -318,6 +360,28 @@ def test_evaluate_matches_independent_recomputation(arch):
     assert report.accuracy == oracle_acc
     assert sum(report.per_class_counts) == report.n_samples
     assert abs(report.accuracy * report.n_samples - round(report.accuracy * report.n_samples)) <= 1e-9
+
+
+def _reference_logits(params, arch, features):
+    layers = unpack(params, arch)
+    if arch.kind == "logistic":
+        w, b = layers[0]
+        return features @ w + b
+    (w1, b1), (w2, b2) = layers
+    return np.tanh(features @ w1 + b1) @ w2 + b2
+
+
+@pytest.mark.parametrize("arch", [LOGISTIC, MLP])
+def test_evaluate_equals_two_pass_reference_bit_for_bit(arch):
+    params = init_params(arch, "seeded_uniform", seed=41)
+    rng = np.random.default_rng(41)
+    data = Dataset(rng.normal(0, 3, size=(57, 4)), rng.integers(0, 3, size=57), 3)
+    report = evaluate(params, arch, data)
+    loss = seq_sum(_per_sample_ce(params, arch, data).tolist()) / len(data)
+    predicted = np.argmax(_reference_logits(params, arch, data.features), axis=1)
+    hits = int(np.count_nonzero(predicted == data.labels))
+    counts = tuple(int(c) for c in np.bincount(data.labels, minlength=3))
+    assert report == EvalReport(loss, hits / len(data), len(data), counts)
 
 
 def test_argmax_ties_break_to_lowest_class():

@@ -474,6 +474,7 @@ def test_benchmark_trace_sites_resolve():
 KEPT_WITHOUT_CALLER = {
     "load_checkpoint": "the public reader of a run's checkpoint artifact",
     "finite_difference_gradient": "the gradient reference acceptance criterion 08 checks against",
+    "loss_and_gradient": "the exact gradient acceptance criterion 08 checks",
 }
 
 
