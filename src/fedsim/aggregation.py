@@ -89,10 +89,13 @@ def fedavg(updates: list[WeightedUpdate]) -> ParameterVector:
         return ordered[0].params
     acc = np.zeros(len(ordered[0].params))
     total = 0
-    for u in ordered:
-        acc = acc + u.params.values * u.n_samples
-        total += u.n_samples
-    return ParameterVector(acc / total)
+    # an overflow is left to ParameterVector, which raises NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in ordered:
+            acc = acc + u.params.values * u.n_samples
+            total += u.n_samples
+        mean = acc / total
+    return ParameterVector(mean)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,9 @@ def async_merge(
     alpha = staleness_factor(alpha0, decay, current_round - base_round)
     if alpha == 1.0:
         return update
-    merged = global_params.values + alpha * (update.values - global_params.values)
+    # an overflow is left to ParameterVector, which raises NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        merged = global_params.values + alpha * (update.values - global_params.values)
     return ParameterVector(merged)
 
 

@@ -161,6 +161,23 @@ def upload_gate(report: EvalReport, policy: GatePolicy) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _top_k_indices(v: np.ndarray, k: int) -> np.ndarray:
+    """The ascending indices of the k largest magnitudes in `v`, ties going
+    to the lower index: the first k of a stable sort by -|v|, found with one
+    partition instead of a sort.
+
+    NaN ranks below every number, as it does in that sort; when the k
+    include a NaN they are every number plus the lowest-index NaNs.
+    """
+    neg = -np.abs(v)
+    kth = np.partition(neg, k - 1)[k - 1]
+    if math.isnan(kth):
+        above, tied = np.flatnonzero(~np.isnan(neg)), np.flatnonzero(np.isnan(neg))
+    else:
+        above, tied = np.flatnonzero(neg < kth), np.flatnonzero(neg == kth)
+    return np.sort(np.concatenate([above, tied[: k - len(above)]]))
+
+
 def compress(values: np.ndarray, top_k: float, bits: int) -> CompressedUpdate:
     """Keep the ceil(top_k * d) largest-magnitude coordinates and quantize
     them uniformly over [-m, m] with 2^bits - 1 steps, m the kept maximum.
@@ -176,8 +193,7 @@ def compress(values: np.ndarray, top_k: float, bits: int) -> CompressedUpdate:
         raise ValueError("values must be a non-empty 1-D array")
     d = v.shape[0]
     k = min(d, math.ceil(spec.top_k * d))
-    order = np.argsort(-np.abs(v), kind="stable")
-    kept = np.sort(order[:k])
+    kept = _top_k_indices(v, k)
     m = float(np.max(np.abs(v[kept])))
     steps = (1 << bits) - 1
     if not math.isfinite(2.0 * m):

@@ -346,15 +346,17 @@ def evaluate(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> Ev
     """Mean cross-entropy and accuracy on the given data.
 
     Empty data yields a degenerate report (zero loss/accuracy) rather than an
-    error. Argmax ties resolve to the lowest class index.
+    error. Argmax ties resolve to the lowest class index. A finite model
+    whose logits overflow scores a non-finite loss, which callers handle.
     """
     _check_fit(arch, data, "data")
     k = arch.num_classes
     if len(data) == 0:
         return EvalReport(0.0, 0.0, 0, tuple([0] * k), degenerate=True)
     n = len(data)
-    logits, _ = _logits(unpack(params, arch), data.features)
-    loss = seq_sum(_cross_entropy(logits, data.labels)[0].tolist()) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = _logits(unpack(params, arch), data.features)
+        loss = seq_sum(_cross_entropy(logits, data.labels)[0].tolist()) / n
     predicted = np.argmax(logits, axis=1)  # first max wins on ties
     hits = int(np.count_nonzero(predicted == data.labels))
     counts = np.bincount(data.labels, minlength=k)

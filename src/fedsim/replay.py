@@ -4,10 +4,17 @@ Verification folds forward from the root. Each version is recomputed with
 the same aggregation routine that minted it, using the recomputed (never
 the recorded) parameters of everything it depends on, so a single corrupt
 payload flags its own version and taints the entire chain below it.
+
+Memory is bounded by what the fold still needs, not by the run's length.
+The archive is read one blob at a time, when a version names it. A
+recomputed version is held only until its last use as a parent or an
+async base, which the ledger gives up front; one that nothing uses is
+never held.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,12 +63,36 @@ def all_match(checks: list[VersionCheck]) -> bool:
     return all(c.status == STATUS_MATCH for c in checks)
 
 
-def load_archive(payload_dir: str | Path) -> dict[str, bytes]:
-    """Read a payload store written by a run: one file per content hash."""
+class _PayloadStore(Mapping):
+    """Read-only content hash -> blob view of a payload directory. The
+    names are listed once; a blob is read from disk each time it is asked
+    for and is not kept."""
+
+    def __init__(self, pdir: Path):
+        self._dir = pdir
+        self._names = frozenset(p.stem for p in pdir.glob("*.bin"))
+
+    def __getitem__(self, digest: str) -> bytes:
+        if digest not in self._names:
+            raise KeyError(digest)
+        return (self._dir / f"{digest}.bin").read_bytes()
+
+    def __contains__(self, digest: object) -> bool:
+        return digest in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(sorted(self._names))
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+def load_archive(payload_dir: str | Path) -> Mapping[str, bytes]:
+    """Open a payload store written by a run: one file per content hash."""
     pdir = Path(payload_dir)
     if not pdir.is_dir():
         raise ArchiveError(f"payload directory {pdir} does not exist")
-    return {p.stem: p.read_bytes() for p in sorted(pdir.glob("*.bin"))}
+    return _PayloadStore(pdir)
 
 
 class _Mismatch(Exception):
@@ -141,7 +172,28 @@ def _recompute(rec, archive, clean: dict[str, np.ndarray]) -> np.ndarray:
     return with_head(core, parent, body_len).values
 
 
-def verify_ledger(ledger: VersionLedger, archive: dict[str, bytes]) -> list[VersionCheck]:
+def _dependencies(rec: GlobalVersionRecord) -> list[str]:
+    deps = [rec.parent_version_id] if rec.parent_version_id else []
+    return deps + [c.base_version for c in rec.contributors]
+
+
+def _check(rec, archive, clean) -> tuple[VersionCheck, np.ndarray | None]:
+    """One version's verdict, with its recomputed parameters when it matches."""
+    vid = rec.version_id
+    try:
+        values = _recompute(rec, archive, clean)
+    except _Missing as e:
+        note = f"missing payloads: {e}"
+        return VersionCheck(vid, STATUS_MISSING_PAYLOAD, rec.params_hash, note=note), None
+    except _Mismatch as e:
+        return VersionCheck(vid, STATUS_HASH_MISMATCH, rec.params_hash, note=str(e)), None
+    got = wire.params_hash(values)
+    if got != rec.params_hash:
+        return VersionCheck(vid, STATUS_HASH_MISMATCH, rec.params_hash, got), None
+    return VersionCheck(vid, STATUS_MATCH, rec.params_hash, got), values
+
+
+def verify_ledger(ledger: VersionLedger, archive: Mapping[str, bytes]) -> list[VersionCheck]:
     """Fold forward through the ledger, checking every recorded hash.
 
     Raises IntegrityError when the root names another content hash than
@@ -163,42 +215,27 @@ def verify_ledger(ledger: VersionLedger, archive: dict[str, bytes]) -> list[Vers
     if root.params_hash not in archive:
         raise ArchiveError(f"archive is missing the root parameters [{root.params_hash}]")
 
+    # the position of the last version that depends on each version
+    last_use = {d: i for i, vid in enumerate(versions) for d in _dependencies(ledger.get(vid))}
     checks: list[VersionCheck] = []
-    clean: dict[str, np.ndarray] = {}  # vid -> recomputed params, MATCH versions only
+    clean: dict[str, np.ndarray] = {}  # vid -> recomputed params, MATCH versions still needed
     bad: set[str] = set()  # every version whose recomputation cannot be trusted
 
-    for vid in versions:
+    for i, vid in enumerate(versions):
         rec = ledger.get(vid)
-        deps = [rec.parent_version_id] if rec.parent_version_id else []
-        deps += [c.base_version for c in rec.contributors]
+        deps = _dependencies(rec)
         if any(d in bad for d in deps):
-            checks.append(VersionCheck(vid, STATUS_TAINTED_PARENT, rec.params_hash))
-            bad.add(vid)
-            continue
-        try:
-            values = _recompute(rec, archive, clean)
-        except _Missing as e:
-            checks.append(
-                VersionCheck(
-                    vid, STATUS_MISSING_PAYLOAD, rec.params_hash,
-                    note=f"missing payloads: {e}",
-                )
-            )
-            bad.add(vid)
-            continue
-        except _Mismatch as e:
-            checks.append(
-                VersionCheck(vid, STATUS_HASH_MISMATCH, rec.params_hash, note=str(e))
-            )
-            bad.add(vid)
-            continue
-        got = wire.params_hash(values)
-        if got == rec.params_hash:
-            checks.append(VersionCheck(vid, STATUS_MATCH, rec.params_hash, got))
-            clean[vid] = values
+            check, values = VersionCheck(vid, STATUS_TAINTED_PARENT, rec.params_hash), None
         else:
-            checks.append(VersionCheck(vid, STATUS_HASH_MISMATCH, rec.params_hash, got))
+            check, values = _check(rec, archive, clean)
+        checks.append(check)
+        if values is None:
             bad.add(vid)
+        elif vid in last_use:
+            clean[vid] = values
+        for d in deps:
+            if last_use[d] == i:
+                clean.pop(d, None)
     return checks
 
 

@@ -22,7 +22,9 @@ drops them.
 from __future__ import annotations
 
 import datetime
+import hashlib
 import json
+import math
 import struct
 import time
 from collections import Counter, defaultdict
@@ -139,9 +141,20 @@ def _flip_labels(ds: Dataset, fraction: float, rng: np.random.Generator) -> Data
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
+    """One strict (RFC 8259) JSON object per line. JSON has no token for a
+    non-finite float, so a row value that is one is written as null; one
+    nested deeper raises."""
     with path.open("w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            try:
+                line = json.dumps(row, sort_keys=True, allow_nan=False)
+            except ValueError:
+                row = {
+                    k: None if isinstance(v, float) and not math.isfinite(v) else v
+                    for k, v in row.items()
+                }
+                line = json.dumps(row, sort_keys=True, allow_nan=False)
+            fh.write(line + "\n")
 
 
 class ExperimentRunner:
@@ -200,8 +213,14 @@ class ExperimentRunner:
 
         _, pkg = create_job(cfg.arch, cfg.hp, cfg.init_mode, job_id=cfg.run_id)
         self.ledger = VersionLedger()
-        # payload blobs by content hash; only kept when they will be written
+        # content hash -> sha256 of the blob archived under it, which is enough
+        # to catch a second blob with the same hash; the blob itself goes to
+        # payloads/ when first archived, and only the 32-byte check stays here
         self._archive: dict[str, bytes] = {}
+        self._payload_dir: Path | None = None
+        if cfg.has(FLAG_CO_VERSIONING) and self.out_dir is not None:
+            self._payload_dir = self.out_dir / "payloads"
+            self._payload_dir.mkdir(parents=True, exist_ok=True)
         root_hash = self._archive_blob(wire.params_bytes(pkg.params.values))
         self.ledger.record(
             GlobalVersionRecord(
@@ -334,11 +353,17 @@ class ExperimentRunner:
         return dense_update(env.payload, update_core(base.values, self.body_len))
 
     def _archive_blob(self, blob: bytes) -> str:
-        """Content hash of `blob`, archiving it when the run writes payloads."""
+        """Content hash of `blob`, archived under co-versioning: written to
+        payloads/ the first time it is seen, when the run has an out_dir."""
         digest = wire.content_hash(blob)
         if self.cfg.has(FLAG_CO_VERSIONING):
-            held = self._archive.setdefault(digest, blob)
-            if held != blob:
+            check = hashlib.sha256(blob).digest()
+            held = self._archive.get(digest)
+            if held is None:
+                self._archive[digest] = check
+                if self._payload_dir is not None:
+                    (self._payload_dir / f"{digest}.bin").write_bytes(blob)
+            elif held != check:
                 raise IntegrityError(f"two different payloads hash to [{digest}]")
         return digest
 
@@ -847,10 +872,6 @@ class ExperimentRunner:
         _write_jsonl(out / "deployments.jsonl", self.deployment_rows)
         if cfg.has(FLAG_CO_VERSIONING):
             self.ledger.write_jsonl(out / "ledger.jsonl")
-            pdir = out / "payloads"
-            pdir.mkdir(exist_ok=True)
-            for digest in sorted(self._archive):
-                (pdir / f"{digest}.bin").write_bytes(self._archive[digest])
         if cfg.has(FLAG_REGISTRY):
             self.registry.write_jsonl(out / "registry.jsonl")
         if cfg.has(FLAG_INCENTIVES):

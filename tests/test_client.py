@@ -16,6 +16,7 @@ from fedsim.client import (
     ModelPackage,
     Withheld,
     _round_train_seed,
+    _top_k_indices,
     build_envelope,
     compress,
     decode_payload_body,
@@ -149,6 +150,50 @@ def test_compress_all_zero_keeps_empty_semantics():
 def test_compress_range_past_float64_is_divergence():
     with pytest.raises(DivergenceError, match="compression range"):
         compress(np.array([1e308, -1.5e308, 0.0]), top_k=1.0, bits=8)
+
+
+def _stable_sort_top_k(v, k):
+    """The selection compress made before it partitioned: the first k of a
+    stable sort by -|v|, in ascending index order."""
+    return np.sort(np.argsort(-np.abs(v), kind="stable")[:k])
+
+
+TOP_K_CASES = {
+    "ties": np.array([0.5, -0.5, 0.25, 0.5, -0.25, 0.5, 0.0, -0.5]),
+    "all-zero": np.zeros(9),
+    "signed-zeros": np.array([0.0, -0.0, 0.0, -0.0, 1.0]),
+    "single": np.array([-3.0]),
+    "plus-minus-inf": np.array([1.0, -np.inf, 2.0, np.inf, -np.inf, 2.0, 0.0]),
+    "nan": np.array([np.nan, 1.0, -1.0, np.nan, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOP_K_CASES))
+def test_top_k_selection_matches_the_stable_sort_for_every_k(name):
+    v = TOP_K_CASES[name]
+    for k in range(1, len(v) + 1):
+        got = _top_k_indices(v, k)
+        want = _stable_sort_top_k(v, k)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist(), k
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 3.0, np.inf]), min_size=1, max_size=40
+    ),
+    st.floats(min_value=0.001, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_compress_keeps_the_stable_sort_selection(entries, top_k):
+    v = np.array(entries)
+    k = min(len(v), math.ceil(top_k * len(v)))
+    want = _stable_sort_top_k(v, k)
+    if np.isinf(v[want]).any():
+        with pytest.raises(DivergenceError, match="compression range 2 \\* inf"):
+            compress(v, top_k=top_k, bits=8)
+    else:
+        assert compress(v, top_k=top_k, bits=8).indices.tolist() == want.tolist()
 
 
 def test_compress_short_vector_keeps_at_least_one():

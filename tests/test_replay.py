@@ -1,9 +1,11 @@
 """Recomputing ledgered versions from archived payloads, honest and tampered."""
 
 import json
+import tracemalloc
 
 import pytest
 
+from fedsim import replay, wire
 from fedsim.aggregation import VersionLedger
 from fedsim.cli import main
 from fedsim.config import parse_config
@@ -13,6 +15,7 @@ from fedsim.replay import (
     STATUS_MATCH,
     STATUS_MISSING_PAYLOAD,
     STATUS_TAINTED_PARENT,
+    VersionCheck,
     all_match,
     load_archive,
     replay_run,
@@ -177,3 +180,147 @@ def test_verify_uses_recomputed_parents_not_recorded_hashes(tmp_path):
     for vid in ledger.versions():
         if vid != "g0":
             assert recomputed[vid] == ledger.get(vid).params_hash
+
+
+# a stale-merge async chain: with 200-300 ms links every update lands a wave
+# after its broadcast, so versions depend on async bases as well as parents
+STALE_ASYNC = {
+    "aggregation_mode": "async",
+    "net": {"dropout_prob": 0.0, "latency_ms_min": 200.0, "latency_ms_max": 300.0},
+}
+
+
+def _dependencies(rec):
+    deps = [rec.parent_version_id] if rec.parent_version_id else []
+    return deps + [c.base_version for c in rec.contributors]
+
+
+def _eager_verify(ledger, payload_dir):
+    """The fold as it was before replay streamed: every blob read up front
+    and every MATCH version kept to the end."""
+    archive = {p.stem: p.read_bytes() for p in sorted(payload_dir.glob("*.bin"))}
+    checks, clean, bad = [], {}, set()
+    for vid in ledger.versions():
+        rec = ledger.get(vid)
+        if any(d in bad for d in _dependencies(rec)):
+            checks.append(VersionCheck(vid, STATUS_TAINTED_PARENT, rec.params_hash))
+            bad.add(vid)
+            continue
+        try:
+            values = replay._recompute(rec, archive, clean)
+        except replay._Missing as e:
+            note = f"missing payloads: {e}"
+            checks.append(VersionCheck(vid, STATUS_MISSING_PAYLOAD, rec.params_hash, note=note))
+            bad.add(vid)
+            continue
+        except replay._Mismatch as e:
+            checks.append(VersionCheck(vid, STATUS_HASH_MISMATCH, rec.params_hash, note=str(e)))
+            bad.add(vid)
+            continue
+        got = wire.params_hash(values)
+        if got == rec.params_hash:
+            checks.append(VersionCheck(vid, STATUS_MATCH, rec.params_hash, got))
+            clean[vid] = values
+        else:
+            checks.append(VersionCheck(vid, STATUS_HASH_MISMATCH, rec.params_hash, got))
+            bad.add(vid)
+    return checks
+
+
+def _flip_payload_byte(out, victim):
+    pfile = out / "payloads" / f"{victim.contributors[0].payload_hash}.bin"
+    blob = bytearray(pfile.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    pfile.write_bytes(bytes(blob))
+
+
+def _delete_payload(out, victim):
+    (out / "payloads" / f"{victim.contributors[0].payload_hash}.bin").unlink()
+
+
+def _edit_recorded_hash(out, victim):
+    path = out / "ledger.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    row = next(r for r in rows if r["version_id"] == victim.version_id)
+    row["params_hash"] = f"{int(row['params_hash'], 16) ^ 1:016x}"
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+
+
+@pytest.mark.parametrize(
+    "tamper, victim_status",
+    [
+        (None, STATUS_MATCH),
+        (_flip_payload_byte, STATUS_HASH_MISMATCH),
+        (_delete_payload, STATUS_MISSING_PAYLOAD),
+        (_edit_recorded_hash, STATUS_HASH_MISMATCH),
+    ],
+    ids=["untampered", "flipped-payload-byte", "deleted-blob", "mid-chain-hash-edit"],
+)
+def test_streaming_fold_gives_the_eager_verdicts(tmp_path, tamper, victim_status):
+    out = _run(tmp_path, rounds=6, n_clients=6, **STALE_ASYNC)
+    ledger = VersionLedger.read_jsonl(out / "ledger.jsonl")
+    versions = ledger.versions()
+    victim = ledger.get(versions[2 * len(versions) // 3])
+    if tamper is not None:
+        tamper(out, victim)
+        ledger = VersionLedger.read_jsonl(out / "ledger.jsonl")
+
+    checks = replay_run(out / "ledger.jsonl", out / "payloads")
+    assert checks == _eager_verify(ledger, out / "payloads")
+    status = {c.version_id: c.status for c in checks}
+    assert status[victim.version_id] == victim_status
+    if tamper is not None:
+        after = versions[versions.index(victim.version_id) + 1 :]
+        assert after and all(status[v] == STATUS_TAINTED_PARENT for v in after)
+
+
+def test_replay_memory_is_set_by_live_versions_not_by_chain_length(tmp_path):
+    # d = 6010 parameters, 48 KB a version; the chain mints ~160 of them
+    out = _run(
+        tmp_path,
+        rounds=8,
+        n_clients=20,
+        arch={"kind": "logistic", "input_dim": 600, "num_classes": 10},
+        data={"samples_per_client": 40},
+        **STALE_ASYNC,
+    )
+    ledger = VersionLedger.read_jsonl(out / "ledger.jsonl")
+    versions = ledger.versions()
+    vector_bytes = 8 * 6010
+    last_use = {d: i for i, v in enumerate(versions) for d in _dependencies(ledger.get(v))}
+    # versions recomputed and still to be used, after each step of the fold
+    max_live = max(
+        sum(1 for v in versions[: i + 1] if last_use.get(v, -1) > i) for i in range(len(versions))
+    )
+    assert len(versions) > 150 and max_live <= 4
+
+    tracemalloc.start()
+    try:
+        VersionLedger.read_jsonl(out / "ledger.jsonl")
+        _, ledger_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        checks = replay_run(out / "ledger.jsonl", out / "payloads")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all_match(checks)
+    # the ledger, the live versions, and one version's working set: its
+    # decoded payload, dense update, merge temporaries and hashed bytes
+    bound = ledger_peak + (max_live + 8) * vector_bytes
+    assert bound < len(versions) * vector_bytes / 4
+    assert peak < bound, (peak, bound)
+
+
+def test_payload_store_reads_on_demand_and_is_read_only(tmp_path):
+    out = _run(tmp_path)
+    archive = load_archive(out / "payloads")
+    names = sorted(p.stem for p in (out / "payloads").glob("*.bin"))
+    assert list(archive) == names and len(archive) == len(names)
+    assert "0" * 16 not in archive
+    with pytest.raises(KeyError):
+        archive["0" * 16]
+    # a blob is read when asked for, so a later edit on disk shows
+    (out / "payloads" / f"{names[0]}.bin").write_bytes(b"edited")
+    assert archive[names[0]] == b"edited"
+    with pytest.raises(TypeError):
+        archive[names[0]] = b"x"

@@ -139,29 +139,98 @@ def test_overflowing_learning_rate_raises_divergence(
         run_experiment(cfg, None)
 
 
+COMPRESSION_OVERFLOW = {
+    "seed": 1,
+    "rounds": 2,
+    "n_clients": 4,
+    "aggregation_mode": "async",
+    "init_mode": "seeded_uniform",
+    "arch": {"kind": "mlp", "input_dim": 4, "num_classes": 3, "hidden_dim": 6},
+    "async": {"alpha0": 0.99, "decay": 0.0, "round_interval_s": 0.001},
+    "net": {"dropout_prob": 0.0},
+    "hp": {"learning_rate": 1.7e308, "batch_size": 32},
+    "data": {"partition": {"mode": "dirichlet_label_skew", "alpha": 0.1}},
+    "optional_components": ["compressor"],
+}
+
+
 def test_compression_overflow_withholds_the_client_as_divergence(tmp_path):
     # clients 0, 1 and 3 train to finite models whose delta's largest kept
     # magnitude m exceeds half the float64 range, so the quantizer's 2m does not
-    raw = {
-        "seed": 1,
-        "rounds": 2,
-        "n_clients": 4,
-        "aggregation_mode": "async",
-        "init_mode": "seeded_uniform",
-        "arch": {"kind": "mlp", "input_dim": 4, "num_classes": 3, "hidden_dim": 6},
-        "async": {"alpha0": 0.99, "decay": 0.0, "round_interval_s": 0.001},
-        "net": {"dropout_prob": 0.0},
-        "hp": {"learning_rate": 1.7e308, "batch_size": 32},
-        "data": {"partition": {"mode": "dirichlet_label_skew", "alpha": 0.1}},
-        "optional_components": ["compressor"],
-    }
-    run = ExperimentRunner(parse_config(raw), tmp_path / "run")
+    run = ExperimentRunner(parse_config(COMPRESSION_OVERFLOW), tmp_path / "run")
     res = run.run()
     withheld = [
         (e["round"], e["client_id"], e["reason"]) for e in run.events if e["event"] == "withheld"
     ]
     assert withheld == [(r, cid, "divergence") for r in (0, 1) for cid in (0, 1, 3)]
     assert res.final_version_id == "g2"
+
+
+def _strict_json(line):
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def _null_if_not_finite(row):
+    return {
+        k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in row.items()
+    }
+
+
+@pytest.mark.parametrize("components", [["compressor"], []], ids=["compressor", "dense"])
+def test_jsonl_artifacts_are_strict_json_with_non_finite_as_null(tmp_path, components):
+    # the last global loss is +inf, and without the compressor so are the
+    # clients' local losses
+    out = tmp_path / "run"
+    raw = {**COMPRESSION_OVERFLOW, "optional_components": components}
+    run = ExperimentRunner(parse_config(raw), out)
+    res = run.run()
+    assert res.metrics[-1]["global_loss"] == float("inf")
+    for name, rows in (("metrics.jsonl", res.metrics), ("event_log.jsonl", run.events)):
+        written = [_strict_json(line) for line in (out / name).read_text().splitlines()]
+        assert written == [_null_if_not_finite(row) for row in rows]
+    # a compressed client whose update overflows is withheld before it logs a loss
+    inf_losses = [e for e in written if e["event"] == "local_train" and e["loss"] is None]
+    assert bool(inf_losses) == (components == [])
+
+
+@pytest.mark.parametrize("with_out_dir", [False, True], ids=["in-memory", "out-dir"])
+def test_two_payloads_under_one_hash_raise(tmp_path, monkeypatch, with_out_dir):
+    # every blob hashes alike, so the first upload collides with the root
+    monkeypatch.setattr(wire, "content_hash", lambda blob: "0" * 16)
+    cfg = _cfg(optional_components=["co_versioning"])
+    with pytest.raises(IntegrityError, match=r"^two different payloads hash to \[0{16}\]$"):
+        run_experiment(cfg, tmp_path / "run" if with_out_dir else None)
+
+
+def _payload_files(out):
+    return {p.stem: p.read_bytes() for p in (out / "payloads").glob("*.bin")}
+
+
+def test_payloads_are_written_as_archived_and_not_held(tmp_path):
+    out = tmp_path / "run"
+    run = ExperimentRunner(_cfg(optional_components=["co_versioning"]), out)
+    run.run()
+    files = _payload_files(out)
+    assert set(files) == set(run._archive)
+    assert all(wire.content_hash(blob) == name for name, blob in files.items())
+    assert all(len(check) == 32 for check in run._archive.values())
+
+
+def test_diverged_run_leaves_the_payloads_it_archived(tmp_path):
+    raw = {"rounds": 3, "n_clients": 8, "hp": {"learning_rate": 1e308, "batch_size": 5}}
+    out = tmp_path / "run"
+    run = ExperimentRunner(parse_config({**raw, "optional_components": ["co_versioning"]}), out)
+    with pytest.raises(DivergenceError):
+        run.run()
+    assert len(run.ledger) > 1  # versions were minted before the failure
+    records = [run.ledger.get(v) for v in run.ledger.versions()]
+    named = {records[0].params_hash} | {c.payload_hash for r in records for c in r.contributors}
+    files = _payload_files(out)
+    assert named <= set(files)
+    assert all(wire.content_hash(blob) == name for name, blob in files.items())
 
 
 def test_secure_round_matches_plain_average():
