@@ -9,6 +9,7 @@ any version can be rebuilt from archived payloads.
 
 from __future__ import annotations
 
+import bisect
 import json
 import struct
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrityError, PartitionError, SecureAbortError
 from .models import ParameterVector
-from .wire import fnv1a64
+from .wire import fnv1a64, write_jsonl
 
 PAD_SALT = 301  # stream tag for pairwise mask material
 
@@ -103,58 +104,150 @@ def fedavg(updates: list[WeightedUpdate]) -> ParameterVector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaskPad:
-    """Shared pad for one client pair.
+# numpy's SeedSequence hash constants (bit_generator.pyx); they do not
+# depend on the entropy, so every pair's seed words come from one pass of
+# uint32 array arithmetic
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = 0xCA01F9DD
+_SS_MIX_R = 0x4973F715
+_SS_POOL = 4
+_U32 = 0xFFFFFFFF
 
-    The lower id adds the pad to its weighted submission, the higher id
-    subtracts it, so the pair's contribution cancels in the sum.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+_U128 = (1 << 128) - 1
+
+
+def seed_words(seeds: np.ndarray) -> np.ndarray:
+    """np.random.SeedSequence(s).generate_state(4, np.uint64) for every
+    uint64 seed s, one row each.
+
+    A seed below 2**32 is one entropy word and a larger one two; the pool
+    slots past the entropy hash a 0 word either way, so every seed is
+    treated as the two words (low, high) here.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    shift = np.uint32(16)
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _U32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        value = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return value ^ (value >> shift)
+
+    low = (seeds & np.uint64(_U32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for i_src in range(_SS_POOL):
+        for i_dst in range(_SS_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    # eight uint32 outputs, read as four little-endian uint64 words
+    words = np.zeros((seeds.shape[0], 4), dtype=np.uint64)
+    hash_const = _SS_INIT_B
+    for i in range(8):
+        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & _U32
+        value = value * np.uint32(hash_const)
+        half = (value ^ (value >> shift)).astype(np.uint64)
+        words[:, i // 2] |= half << np.uint64(32 * (i % 2))
+    return words
+
+
+def pcg64_state(words: list[int]) -> dict:
+    """The PCG64 `bit_generator.state` that seeding from SeedSequence state
+    words [w0, w1, w2, w3], as Python ints, gives: PCG's srandom with
+    initstate w0:w1 and initseq w2:w3, as numpy's pcg64_set_seed calls it."""
+    w0, w1, w2, w3 = words
+    inc = ((((w2 << 64) | w3) << 1) | 1) & _U128
+    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _U128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class PadSeeds:
+    """The seeding of one secure round's pairwise pads; no pad is drawn.
+
+    Pair (ids[a], ids[b]), a < b, shares the pad that
+    np.random.default_rng(seed).uniform(-1, 1, size=d) draws, where seed is
+    FNV-1a of (round_seed, PAD_SALT, low, high). `words` holds each pair's
+    SeedSequence state words, one row per pair in lexicographic pair order;
+    `rng` is reseeded from a row for each draw.
     """
 
-    low: int
-    high: int
-    seed: int
-    pad: ParameterVector
+    ids: tuple[int, ...]
+    words: np.ndarray
+    rng: np.random.Generator
 
-    def __post_init__(self) -> None:
-        if self.low >= self.high:
-            raise ValueError("pad pair must satisfy low < high")
+    def pairs_from(self, low: int) -> tuple[tuple[int, ...], np.ndarray]:
+        """The ids above `low` and the state words of its pair with each."""
+        a = bisect.bisect_left(self.ids, low)
+        if a == len(self.ids) or self.ids[a] != low:
+            raise ValueError(f"client {low} is not a masking participant")
+        n = len(self.ids)
+        first = a * (n - 1) - a * (a - 1) // 2  # pairs whose low sits before a
+        return self.ids[a + 1 :], self.words[first : first + n - 1 - a]
 
 
-def pad_seed(round_seed: int, low: int, high: int) -> int:
-    return fnv1a64(struct.pack("<QIII", round_seed, PAD_SALT, low, high))
+def pairwise_pads(client_ids: list[int], round_seed: int) -> PadSeeds:
+    """The seeding of one shared pad per unordered participant pair.
 
-
-def pairwise_pads(
-    client_ids: list[int], dim: int, round_seed: int
-) -> dict[tuple[int, int], MaskPad]:
-    """One shared pad per unordered participant pair, keyed by (low, high)."""
-    ids = sorted(client_ids)
+    The FNV-1a state after the (round_seed, PAD_SALT) prefix is taken once,
+    and after each low id once; the seed words of all pairs then come from
+    one bulk SeedSequence pass.
+    """
+    ids = tuple(sorted(client_ids))
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate client_id")
-    pads: dict[tuple[int, int], MaskPad] = {}
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            low, high = ids[a], ids[b]
-            seed = pad_seed(round_seed, low, high)
-            rng = np.random.default_rng(seed)
-            pad = ParameterVector(rng.uniform(-1.0, 1.0, size=dim))
-            pads[(low, high)] = MaskPad(low, high, seed, pad)
-    return pads
+    packed = [struct.pack("<I", cid) for cid in ids]
+    prefix = fnv1a64(struct.pack("<QI", round_seed, PAD_SALT))
+
+    def pair_seeds():
+        for a in range(len(ids)):
+            after_low = fnv1a64(packed[a], h=prefix)
+            for high in packed[a + 1 :]:
+                yield fnv1a64(high, h=after_low)
+
+    n = len(ids)
+    seeds = np.fromiter(pair_seeds(), dtype=np.uint64, count=n * (n - 1) // 2)
+    return PadSeeds(ids, seed_words(seeds), np.random.Generator(np.random.PCG64(0)))
 
 
-def mask_submission(
-    update: WeightedUpdate, pads: dict[tuple[int, int], MaskPad]
-) -> np.ndarray:
-    """Weighted parameters obscured by every pad this client shares."""
-    cid = update.client_id
-    masked = update.params.values * update.n_samples
-    for low, high in sorted(pair for pair in pads if cid in pair):
-        if low == cid:
-            masked = masked + pads[low, high].pad.values
-        else:
-            masked = masked - pads[low, high].pad.values
-    return masked
+def mask_submission(cid: int, accumulators: dict[int, np.ndarray], pads: PadSeeds) -> None:
+    """Draw each pad `cid` shares with a higher id once, add it in place to
+    accumulators[cid] and subtract it in place from the higher id's.
+
+    Called once per participant, in ascending id order, over accumulators
+    that start at each client's params * n_samples, it leaves every
+    accumulator holding that client's masked submission: the client's pads
+    arrive in ascending (low, high) pair order, subtracted where it is the
+    higher id and added where it is the lower. Only one pad is alive at a
+    time, so memory is the accumulators' O(n*d).
+    """
+    own = accumulators[cid]
+    dim = own.shape[0]
+    rng = pads.rng
+    bit_generator = rng.bit_generator
+    highs, words = pads.pairs_from(cid)
+    for high, row in zip(highs, words.tolist()):
+        bit_generator.state = pcg64_state(row)
+        pad = rng.uniform(-1.0, 1.0, size=dim)
+        own += pad
+        accumulators[high] -= pad
 
 
 def secure_sum(
@@ -552,11 +645,7 @@ class VersionLedger:
         return tuple(self._order)
 
     def write_jsonl(self, path: str | Path) -> None:
-        lines = [
-            json.dumps(record_to_json(self._records[v]), sort_keys=True)
-            for v in self._order
-        ]
-        Path(path).write_text("".join(line + "\n" for line in lines))
+        write_jsonl(path, (record_to_json(self._records[v]) for v in self._order))
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "VersionLedger":

@@ -141,7 +141,8 @@ def preprocess(raw: Dataset) -> tuple[Dataset, NormalizerStats]:
     """z-score each column with the client's own moments.
 
     Columns without variance pass through untouched and are flagged in the
-    returned stats.
+    returned stats. The labels are raw's, so only the finiteness of the
+    scaled features is checked again.
     """
     feats = raw.features
     if len(raw) == 0:
@@ -154,12 +155,17 @@ def preprocess(raw: Dataset) -> tuple[Dataset, NormalizerStats]:
     safe_std = np.where(constant, 1.0, std)
     scaled = (feats - mean) / safe_std
     scaled[:, constant] = feats[:, constant]
-    out = Dataset(scaled, raw.labels, raw.num_classes)
+    if not np.isfinite(scaled).all():
+        raise ValueError("features contain non-finite entries")
+    out = Dataset._derived(scaled, raw.labels, raw.num_classes)
     return out, NormalizerStats(mean, std, constant)
 
 
 def split_train_test(data: Dataset, seed: int, client_id: int = 0) -> tuple[Dataset, Dataset]:
-    """Seeded 80/20 split; a single-sample set keeps its sample in train."""
+    """Seeded 80/20 split; a single-sample set keeps its sample in train.
+
+    Both halves are row subsets of `data`, so neither is validated again.
+    """
     n = len(data)
     if n == 0:
         return data, data
@@ -173,8 +179,8 @@ def split_train_test(data: Dataset, seed: int, client_id: int = 0) -> tuple[Data
     test_idx = np.sort(order[:n_test])
     train_idx = np.sort(order[n_test:])
     return (
-        Dataset(data.features[train_idx], data.labels[train_idx], data.num_classes),
-        Dataset(data.features[test_idx], data.labels[test_idx], data.num_classes),
+        Dataset._derived(data.features[train_idx], data.labels[train_idx], data.num_classes),
+        Dataset._derived(data.features[test_idx], data.labels[test_idx], data.num_classes),
     )
 
 

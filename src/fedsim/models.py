@@ -167,6 +167,20 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
+    @classmethod
+    def _derived(cls, features: np.ndarray, labels: np.ndarray, num_classes: int) -> Dataset:
+        """A Dataset over arrays derived from a validated one, without
+        __post_init__'s checks and copies. The caller vouches that the
+        arrays are float64 and int64, that they satisfy every check there,
+        and that nothing else writes to them: both are made read-only."""
+        ds = object.__new__(cls)
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        object.__setattr__(ds, "features", features)
+        object.__setattr__(ds, "labels", labels)
+        object.__setattr__(ds, "num_classes", num_classes)
+        return ds
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -357,10 +371,32 @@ def evaluate(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> Ev
     with np.errstate(over="ignore", invalid="ignore"):
         logits, _ = _logits(unpack(params, arch), data.features)
         loss = seq_sum(_cross_entropy(logits, data.labels)[0].tolist()) / n
-    predicted = np.argmax(logits, axis=1)  # first max wins on ties
-    hits = int(np.count_nonzero(predicted == data.labels))
     counts = np.bincount(data.labels, minlength=k)
-    return EvalReport(loss, hits / n, n, tuple(int(c) for c in counts))
+    return EvalReport(loss, _accuracy(logits, data.labels), n, tuple(int(c) for c in counts))
+
+
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    predicted = logits.argmax(axis=1)  # first max wins on ties
+    return int(np.count_nonzero(predicted == labels)) / labels.shape[0]
+
+
+def accuracies(cases: Iterable[tuple[list[tuple[np.ndarray, np.ndarray]], Dataset]]) -> list[float]:
+    """evaluate(...).accuracy for each (per-layer views, data) case, from one
+    forward pass and without the loss: what deployment keeps of a report.
+
+    The views come from unpack, taken once per model however many cases
+    share it. Empty data scores 0.0, as evaluate's degenerate report does.
+    """
+    out = []
+    # a finite model's logits may overflow; its argmax still counts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layers, data in cases:
+            if len(data) == 0:
+                out.append(0.0)
+                continue
+            logits, _ = _logits(layers, data.features)
+            out.append(_accuracy(logits, data.labels))
+    return out
 
 
 # ---------------------------------------------------------------------------

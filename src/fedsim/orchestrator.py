@@ -6,7 +6,6 @@ module keeps the data structures and the pure decision logic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from .aggregation import ROOT_VERSION
 from .client import ModelPackage
 from .errors import ConflictError, SelectionStarvationError
 from .models import ArchDescriptor, EvalReport, Hyperparameters, init_params
+from .wire import write_jsonl
 
 SELECT_SALT = 401
 CLUSTER_SALT = 402
@@ -146,8 +146,7 @@ class ClientRegistry:
             record.last_local_eval = report
 
     def write_jsonl(self, path: str | Path) -> None:
-        lines = [json.dumps(record_to_json(r), sort_keys=True) for r in self.records()]
-        Path(path).write_text("".join(line + "\n" for line in lines))
+        write_jsonl(path, (record_to_json(r) for r in self.records()))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-import math
 import struct
 import time
 from collections import Counter, defaultdict
@@ -93,7 +92,16 @@ from .errors import (
     SecureAbortError,
     SelectionStarvationError,
 )
-from .models import Dataset, ParameterVector, evaluate, local_train, save_checkpoint, seq_sum
+from .models import (
+    Dataset,
+    ParameterVector,
+    accuracies,
+    evaluate,
+    local_train,
+    save_checkpoint,
+    seq_sum,
+    unpack,
+)
 from .monitoring import (
     ACTION_FINE_TUNE,
     ACTION_NONE,
@@ -138,23 +146,6 @@ def _flip_labels(ds: Dataset, fraction: float, rng: np.random.Generator) -> Data
     labels = ds.labels.copy()
     labels[pick] = (labels[pick] + offsets[pick]) % ds.num_classes
     return Dataset(ds.features, labels, ds.num_classes)
-
-
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    """One strict (RFC 8259) JSON object per line. JSON has no token for a
-    non-finite float, so a row value that is one is written as null; one
-    nested deeper raises."""
-    with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            try:
-                line = json.dumps(row, sort_keys=True, allow_nan=False)
-            except ValueError:
-                row = {
-                    k: None if isinstance(v, float) and not math.isfinite(v) else v
-                    for k, v in row.items()
-                }
-                line = json.dumps(row, sort_keys=True, allow_nan=False)
-            fh.write(line + "\n")
 
 
 class ExperimentRunner:
@@ -446,14 +437,13 @@ class ExperimentRunner:
                 if cfg.has(FLAG_DEPLOYMENT_SELECTOR):
                     selector = DeploymentSelector(self.cluster_assignment, self.cluster_model_ids)
                 rec = deploy(self.latest_vid, r, targets, selector)
-                accs = [
-                    evaluate(
-                        self._model_params(rec.model_ids[t]),
-                        cfg.arch,
-                        self.runtimes[t].shard.test,
-                    ).accuracy
-                    for t in rec.targets
-                ]
+                layers = {
+                    mid: unpack(self._model_params(mid), cfg.arch)
+                    for mid in set(rec.model_ids.values())
+                }
+                accs = accuracies(
+                    (layers[rec.model_ids[t]], self.runtimes[t].shard.test) for t in rec.targets
+                )
                 local_mean = seq_sum(accs) / len(accs)
                 self._monitor_params = params
                 self.deployment_rows.append(
@@ -660,17 +650,19 @@ class ExperimentRunner:
             )
             return {}, [], None
         ids = [env.client_id for _, env in commits]
-        dim = len(commits[0][1].payload)
         round_seed = wire.fnv1a64(struct.pack("<QI", cfg.seed & 0xFFFFFFFFFFFFFFFF, r))
-        pads = pairwise_pads(ids, dim, round_seed)
+        pads = pairwise_pads(ids, round_seed)
+        # each weighted update turns into its masked submission in place
+        masked = {env.client_id: env.payload.values * env.n_samples for _, env in commits}
+        for cid in sorted(masked):
+            mask_submission(cid, masked, pads)
         total_n = sum(env.n_samples for _, env in commits)
         arrivals = []
         for t, env in commits:
             cid = env.client_id
-            masked = mask_submission(WeightedUpdate(cid, env.payload, env.n_samples), pads)
             sub = build_envelope(
-                cid, r, pkg.version_id, env.n_samples, PAYLOAD_MASKED, ParameterVector(masked),
-                env.local_eval,
+                cid, r, pkg.version_id, env.n_samples, PAYLOAD_MASKED,
+                ParameterVector(masked[cid]), env.local_eval,
             )
             t_up = self._upload(
                 "masked_update", cid, wire.SERVER_SENDER, sub.byte_size, t, r, cutoff
@@ -867,15 +859,15 @@ class ExperimentRunner:
         (out / "config.json").write_text(
             json.dumps(cfg.canonical, sort_keys=True, indent=2) + "\n"
         )
-        _write_jsonl(out / "metrics.jsonl", self.metrics)
-        _write_jsonl(out / "event_log.jsonl", self.events)
-        _write_jsonl(out / "deployments.jsonl", self.deployment_rows)
+        wire.write_jsonl(out / "metrics.jsonl", self.metrics)
+        wire.write_jsonl(out / "event_log.jsonl", self.events)
+        wire.write_jsonl(out / "deployments.jsonl", self.deployment_rows)
         if cfg.has(FLAG_CO_VERSIONING):
             self.ledger.write_jsonl(out / "ledger.jsonl")
         if cfg.has(FLAG_REGISTRY):
             self.registry.write_jsonl(out / "registry.jsonl")
         if cfg.has(FLAG_INCENTIVES):
-            _write_jsonl(out / "incentives.jsonl", incentive_entries_json(self.accounts))
+            wire.write_jsonl(out / "incentives.jsonl", incentive_entries_json(self.accounts))
         save_checkpoint(out / "checkpoint.json", self.version_params[self.latest_vid], cfg.arch)
         meta = {
             "run_id": cfg.run_id,

@@ -14,12 +14,18 @@ Content hashes are BLAKE2b with an 8-byte digest (CONTENT_HASH) over these
 canonical bytes, rendered as 16 hex digits. Seeds and the run id keep 64-bit
 FNV-1a: seeds feed the random generators and the run id names a run's
 directory, so neither may change.
+
+Every .jsonl artifact goes through write_jsonl: one strict (RFC 8259) JSON
+object per line, with sorted keys.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -83,8 +89,9 @@ _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
+def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a of `data`; from start state `h`, the hash of whatever
+    prefix left that state, so fnv1a64(b, h=fnv1a64(a)) == fnv1a64(a + b)."""
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _U64
     return h
@@ -149,3 +156,31 @@ def decode_sparse_body(buf, bits: int):
 
 def sparse_bits_for_update_kind(kind: int) -> int | None:
     return _UPDATE_SPARSE_BITS.get(kind)
+
+
+# ---------------------------------------------------------------------------
+# jsonl artifacts
+# ---------------------------------------------------------------------------
+
+
+def _finite_or_null(value):
+    """`value` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def write_jsonl(path: str | Path, rows) -> None:
+    """One strict JSON object per line. JSON has no token for a non-finite
+    float, so one is written as null."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for row in rows:
+            try:
+                line = json.dumps(row, sort_keys=True, allow_nan=False)
+            except ValueError:
+                line = json.dumps(_finite_or_null(row), sort_keys=True, allow_nan=False)
+            fh.write(line + "\n")

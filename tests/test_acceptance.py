@@ -139,9 +139,11 @@ def test_criterion_03_masked_aggregation_equivalence(tmp_path):
         # the runner's secure exchange: pads over every committed client,
         # each masks its weighted update, the server sums
         ids = list(range(n))
-        pads = pairwise_pads(ids, d, int(rng.integers(0, 2**63)))
-        submissions = [(u.client_id, mask_submission(u, pads)) for u in updates]
-        masked = secure_sum(submissions, sum(u.n_samples for u in updates), ids)
+        pads = pairwise_pads(ids, int(rng.integers(0, 2**63)))
+        acc = {u.client_id: u.params.values * u.n_samples for u in updates}
+        for cid in ids:
+            mask_submission(cid, acc, pads)
+        masked = secure_sum(list(acc.items()), sum(u.n_samples for u in updates), ids)
         worst = max(worst, float(np.max(np.abs(plain.values - masked.values))))
 
     # twin runs, identical seeds: the plaintext archive supplies the raw

@@ -1,6 +1,8 @@
 """Aggregator equivalences, gossip mixing, and ledger integrity checks."""
 
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from fedsim.aggregation import (
     EdgeGroup,
     GlobalVersionRecord,
     GossipGraph,
-    MaskPad,
     VersionLedger,
     WeightedUpdate,
     async_merge,
@@ -25,17 +26,19 @@ from fedsim.aggregation import (
     mask_submission,
     node_mean,
     pairwise_pads,
+    pcg64_state,
     record_from_json,
     record_to_json,
     run_gossip,
     secure_sum,
+    seed_words,
     staleness_factor,
 )
 from fedsim.config import parse_config
 from fedsim.errors import ConfigError, IntegrityError, PartitionError, SecureAbortError
 from fedsim.models import ParameterVector
 from fedsim.runner import run_experiment
-from fedsim.wire import K_UPDATE_DENSE, params_hash
+from fedsim.wire import K_UPDATE_DENSE, fnv1a64, params_hash
 
 
 def _oracle_weighted_mean(triples):
@@ -131,22 +134,33 @@ def test_fedavg_stays_inside_coordinate_hull(seed, count):
 # ---------------------------------------------------------------------------
 
 
+def _masked(updates, round_seed):
+    """The runner's masking step: pad seeds over every committed client, then
+    each accumulator, from params * n_samples, is masked in ascending id order."""
+    pads = pairwise_pads([u.client_id for u in updates], round_seed)
+    acc = {u.client_id: u.params.values * u.n_samples for u in updates}
+    for cid in sorted(acc):
+        mask_submission(cid, acc, pads)
+    return acc
+
+
 def test_pads_cancel_for_two_clients():
     rng = np.random.default_rng(0)
     u1 = WeightedUpdate(3, ParameterVector(rng.normal(size=8)), 5)
     u2 = WeightedUpdate(9, ParameterVector(rng.normal(size=8)), 2)
-    pads = pairwise_pads([3, 9], 8, round_seed=123)
-    masked_total = mask_submission(u1, pads) + mask_submission(u2, pads)
+    masked = _masked([u1, u2], round_seed=123)
+    masked_total = masked[3] + masked[9]
     plain_total = u1.params.values * 5 + u2.params.values * 2
     assert np.max(np.abs(masked_total - plain_total)) <= 1e-9
+    # each submission alone is obscured
+    assert np.min(np.abs(masked[3] - u1.params.values * 5)) > 0
 
 
 def _secure_round(updates, round_seed):
-    """The runner's secure exchange without the network: pads over every
-    committed client, each masks its weighted update, the server sums."""
+    """The runner's secure exchange without the network: each client's
+    masked submission, and the server's sum of them."""
     ids = [u.client_id for u in updates]
-    pads = pairwise_pads(ids, len(updates[0].params), round_seed)
-    submissions = [(u.client_id, mask_submission(u, pads)) for u in updates]
+    submissions = list(_masked(updates, round_seed).items())
     return secure_sum(submissions, sum(u.n_samples for u in updates), ids)
 
 
@@ -172,30 +186,108 @@ def test_secure_sum_aborts_on_missing_participant():
     rng = np.random.default_rng(5)
     updates = _random_updates(rng, 4, 6)
     ids = sorted(u.client_id for u in updates)
-    pads = pairwise_pads(ids, 6, round_seed=9)
-    submissions = [(u.client_id, mask_submission(u, pads)) for u in updates]
-    submissions = [s for s in submissions if s[0] != ids[1]]
+    submissions = [s for s in _masked(updates, round_seed=9).items() if s[0] != ids[1]]
     total = sum(u.n_samples for u in updates)
     with pytest.raises(SecureAbortError, match=f"missing \\[{ids[1]}\\]"):
         secure_sum(submissions, total, ids)
 
 
 def test_pads_are_deterministic_and_shared():
-    a = pairwise_pads([1, 2, 5], 7, round_seed=42)
-    b = pairwise_pads([5, 1, 2], 7, round_seed=42)
-    assert a.keys() == b.keys()
-    for key in a:
-        assert a[key].seed == b[key].seed
-        assert np.array_equal(a[key].pad.values, b[key].pad.values)
-    c = pairwise_pads([1, 2, 5], 7, round_seed=43)
-    assert not np.array_equal(a[(1, 2)].pad.values, c[(1, 2)].pad.values)
+    a = pairwise_pads([1, 2, 5], round_seed=42)
+    b = pairwise_pads([5, 1, 2], round_seed=42)
+    assert a.ids == b.ids == (1, 2, 5)
+    assert np.array_equal(a.words, b.words)
+    assert a.words.shape == (3, 4)
+    updates = _random_updates(np.random.default_rng(4), 3, 7, id_offset=1)
+    first, again = _masked(updates, 42), _masked(updates[::-1], 42)
+    assert all(np.array_equal(first[cid], again[cid]) for cid in first)
+    c = pairwise_pads([1, 2, 5], round_seed=43)
+    assert not np.array_equal(a.words[0], c.words[0])
+    with pytest.raises(ValueError, match="duplicate"):
+        pairwise_pads([1, 2, 2], round_seed=42)
+    with pytest.raises(ValueError, match="client 3 is not a masking participant"):
+        mask_submission(3, {3: np.zeros(7)}, a)
 
 
-def test_mask_pad_orders_pair():
-    with pytest.raises(ValueError):
-        MaskPad(5, 5, 0, ParameterVector(np.zeros(2)))
-    with pytest.raises(ValueError):
-        MaskPad(6, 5, 0, ParameterVector(np.zeros(2)))
+# today's pad material, kept as the reference: one default_rng per pair seed
+PAD_SALT_REFERENCE = 301
+
+
+def _reference_pad_seed(round_seed, low, high):
+    return fnv1a64(struct.pack("<QIII", round_seed, PAD_SALT_REFERENCE, low, high))
+
+
+def _reference_masked(updates, round_seed):
+    """Every pad held at once in a dict, and each submission built by walking
+    its client's pairs in sorted order."""
+    ids = sorted(u.client_id for u in updates)
+    dim = len(updates[0].params)
+    pads = {}
+    for a in range(len(ids)):
+        for b in range(a + 1, len(ids)):
+            rng = np.random.default_rng(_reference_pad_seed(round_seed, ids[a], ids[b]))
+            pads[ids[a], ids[b]] = rng.uniform(-1.0, 1.0, size=dim)
+    out = {}
+    for u in updates:
+        cid = u.client_id
+        masked = u.params.values * u.n_samples
+        for low, high in sorted(pair for pair in pads if cid in pair):
+            masked = masked + pads[low, high] if low == cid else masked - pads[low, high]
+        out[cid] = masked
+    return out
+
+
+EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def test_seed_words_equal_seed_sequence_state():
+    rng = np.random.default_rng(2000)
+    seeds = EDGE_SEEDS + rng.integers(0, 2**64, size=2000, dtype=np.uint64).tolist()
+    want = np.stack([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+    got = seed_words(np.array(seeds, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+def test_pad_drawn_from_seed_words_equals_default_rng():
+    seeds = EDGE_SEEDS + [_reference_pad_seed(7, 3, 11)]
+    rng = np.random.Generator(np.random.PCG64(0))
+    for seed, words in zip(seeds, seed_words(np.array(seeds, dtype=np.uint64)).tolist()):
+        rng.bit_generator.state = pcg64_state(words)
+        drawn = rng.uniform(-1.0, 1.0, size=330)
+        assert np.array_equal(drawn, np.random.default_rng(seed).uniform(-1.0, 1.0, size=330))
+
+
+@pytest.mark.parametrize("n", [2, 3, 100])
+def test_streamed_masking_equals_pad_dict_reference(n):
+    rng = np.random.default_rng(n)
+    ids = sorted(rng.choice(2000, size=n, replace=False).tolist())
+    assert n == 2 or ids != list(range(ids[0], ids[0] + n))  # non-contiguous
+    updates = [
+        WeightedUpdate(cid, ParameterVector(rng.normal(size=33)), int(rng.integers(1, 50)))
+        for cid in ids
+    ]
+    round_seed = int(rng.integers(0, 2**63))
+    got = _masked(updates, round_seed)
+    want = _reference_masked(updates, round_seed)
+    assert sorted(got) == ids
+    assert all(np.array_equal(got[cid], want[cid]) for cid in ids)
+
+
+def test_masking_step_holds_one_pad_at_a_time():
+    # 100 participants at d=330: a pad dict would hold 4,950 pads of 2,640 bytes
+    rng = np.random.default_rng(8)
+    ids = sorted(rng.choice(2000, size=100, replace=False).tolist())
+    acc = {cid: rng.normal(size=330) for cid in ids}
+    tracemalloc.start()
+    try:
+        pads = pairwise_pads(ids, round_seed=99)
+        for cid in ids:
+            mask_submission(cid, acc, pads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9))

@@ -149,6 +149,55 @@ def test_shard_regeneration_is_client_local():
     assert alone.label_histogram == shards[2].label_histogram
 
 
+def _reference_shard(ss, client_id, weights, n_samples):
+    """build_shard with every intermediate set built as a validated Dataset."""
+    raw = collect(ss, client_id, weights, n_samples=n_samples)
+    feats = raw.features
+    mean = feats.mean(axis=0)
+    std = feats.std(axis=0)
+    constant = std <= 1e-12
+    scaled = (feats - mean) / np.where(constant, 1.0, std)
+    scaled[:, constant] = feats[:, constant]
+    data = Dataset(scaled, raw.labels, raw.num_classes)
+    n = len(data)
+    n_test = int(round(n * 0.2))
+    if n >= 2 and n_test == 0:
+        n_test = 1
+    if n_test >= n:
+        n_test = n - 1
+    order = np.random.default_rng([ss.seed, client_id, 105]).permutation(n)
+    test_idx, train_idx = np.sort(order[:n_test]), np.sort(order[n_test:])
+    train = Dataset(data.features[train_idx], data.labels[train_idx], data.num_classes)
+    test = Dataset(data.features[test_idx], data.labels[test_idx], data.num_classes)
+    return train, test, (mean, std, constant)
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [
+        PartitionSpec("iid", seed=3),
+        PartitionSpec("dirichlet_label_skew", alpha=0.3, seed=3),
+        PartitionSpec("quantity_skew", sigma=0.8, seed=3),
+    ],
+    ids=lambda ps: ps.mode,
+)
+def test_partition_equals_validated_reference(ps):
+    ss = SyntheticSpec(3, 4, 2.0, 0.5, samples_per_client=12, seed=9)
+    shards = partition(ps, ss, 40)
+    weights = client_class_weights(ps, ss, 40)
+    counts = client_sample_counts(ps, ss, 40)
+    for cid, shard in enumerate(shards):
+        train, test, stats = _reference_shard(ss, cid, weights[cid], int(counts[cid]))
+        for got, want in ((shard.train, train), (shard.test, test)):
+            assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
+            assert np.array_equal(got.features, want.features)
+            assert np.array_equal(got.labels, want.labels)
+            assert got.num_classes == want.num_classes
+            assert not got.features.flags.writeable and not got.labels.flags.writeable
+        got_stats = (shard.stats.mean, shard.stats.std, shard.stats.constant_mask)
+        assert all(np.array_equal(a, b) for a, b in zip(got_stats, stats))
+
+
 def test_split_sizes_and_histogram():
     shard = build_shard(SS, 0, [1 / 3] * 3, 120)
     assert len(shard.test) == 24

@@ -13,6 +13,7 @@ from fedsim.models import (
     Hyperparameters,
     ParameterVector,
     _per_sample_ce,
+    accuracies,
     central_difference,
     evaluate,
     finite_difference_gradient,
@@ -391,6 +392,52 @@ def test_argmax_ties_break_to_lowest_class():
     assert evaluate(params, arch, data).accuracy == 1.0
     data2 = Dataset(np.array([[1.0, 1.0]]), np.array([2]), 3)
     assert evaluate(params, arch, data2).accuracy == 0.0
+
+
+def _evaluated_accuracies(cases, arch):
+    return [evaluate(params, arch, data).accuracy for params, data in cases]
+
+
+def _layer_cases(cases, arch):
+    return [(unpack(params, arch), data) for params, data in cases]
+
+
+@pytest.mark.parametrize("arch", [LOGISTIC, MLP])
+def test_accuracies_equal_evaluate(arch):
+    rng = np.random.default_rng(17)
+    cases = []
+    for seed in range(6):
+        n = int(rng.integers(1, 30))
+        data = Dataset(rng.normal(0, 2, size=(n, 4)), rng.integers(0, 3, size=n), 3)
+        cases.append((init_params(arch, "seeded_uniform", seed=seed % 2), data))
+    # an empty test set scores 0.0, as the degenerate report does
+    cases.append((cases[0][0], Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3)))
+    got = accuracies(_layer_cases(cases, arch))
+    assert got == _evaluated_accuracies(cases, arch)
+    assert got[-1] == 0.0
+
+
+def test_accuracies_break_argmax_ties_to_lowest_class():
+    arch = ArchDescriptor("logistic", 2, 0, 3)
+    params = init_params(arch, "zeros")  # every class ties
+    cases = [
+        (params, Dataset(np.array([[1.0, 1.0]]), np.array([label]), 3)) for label in (0, 1, 2)
+    ]
+    got = accuracies(_layer_cases(cases, arch))
+    assert got == _evaluated_accuracies(cases, arch) == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("arch", [LOGISTIC, MLP])
+def test_accuracies_of_overflowing_logits_raise_no_warning(arch):
+    # finite parameters whose logits overflow to inf and inf - inf = nan
+    params = ParameterVector(np.full(arch.parameter_count, 1e308))
+    params_neg = ParameterVector(np.where(np.arange(arch.parameter_count) % 2, 1e308, -1e308))
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.normal(0, 5, size=(12, 4)), rng.integers(0, 3, size=12), 3)
+    cases = [(params, data), (params_neg, data)]
+    for overflowing, _ in cases:
+        assert not math.isfinite(evaluate(overflowing, arch, data).loss)
+    assert accuracies(_layer_cases(cases, arch)) == _evaluated_accuracies(cases, arch)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import fedsim
-from fedsim import runner, wire
+from fedsim import replay_run, runner, wire
 from fedsim.config import parse_config
 from fedsim.errors import ConfigError, DivergenceError, IntegrityError, SelectionStarvationError
-from fedsim.models import ParameterVector
+from fedsim.models import ParameterVector, accuracies, evaluate, seq_sum
+from fedsim.monitoring import DeploymentSelector, deploy
 from fedsim.runner import ExperimentRunner, run_experiment
 
 METRIC_KEYS = {
@@ -194,6 +195,29 @@ def test_jsonl_artifacts_are_strict_json_with_non_finite_as_null(tmp_path, compo
     # a compressed client whose update overflows is withheld before it logs a loss
     inf_losses = [e for e in written if e["event"] == "local_train" and e["loss"] is None]
     assert bool(inf_losses) == (components == [])
+
+
+def test_ledger_and_registry_are_strict_json_and_still_replay(tmp_path):
+    # the dense clients' local losses are +inf, and the ledger and registry
+    # record them
+    out = tmp_path / "run"
+    raw = {**COMPRESSION_OVERFLOW, "optional_components": ["co_versioning", "registry", "incentives"]}
+    run = ExperimentRunner(parse_config(raw), out)
+    res = run.run()
+    written = {
+        path.name: [_strict_json(line) for line in path.read_text().splitlines()]
+        for path in sorted(out.glob("*.jsonl"))
+    }
+    assert {"ledger.jsonl", "registry.jsonl", "incentives.jsonl"} <= set(written)
+    losses = [c.loss for v in res.ledger.versions() for c in res.ledger.get(v).contributors]
+    assert float("inf") in losses
+    assert [c["loss"] for row in written["ledger.jsonl"] for c in row["contributors"]] == [
+        None if not np.isfinite(loss) else loss for loss in losses
+    ]
+    evals = [row["last_local_eval"] for row in written["registry.jsonl"]]
+    assert any(e is not None and e["loss"] is None for e in evals)
+    checks = replay_run(out / "ledger.jsonl", out / "payloads")
+    assert [c.status for c in checks] == ["MATCH"] * len(res.ledger)
 
 
 @pytest.mark.parametrize("with_out_dir", [False, True], ids=["in-memory", "out-dir"])
@@ -400,6 +424,39 @@ def test_deployments_record_local_accuracy(tmp_path):
         assert r["selector"] is False
 
 
+def test_cluster_routed_deploy_accuracies_equal_evaluate(tmp_path, monkeypatch):
+    # each target is scored on the model of its cluster, as evaluate scores it
+    returned = []
+
+    def recording(cases):
+        accs = accuracies(cases)
+        returned.append(accs)
+        return accs
+
+    monkeypatch.setattr(runner, "accuracies", recording)
+    raw = {
+        "rounds": 2, "n_clients": 8, "seed": 11, "net": {"dropout_prob": 0.0},
+        "arch": {"kind": "mlp", "input_dim": 4, "hidden_dim": 3, "num_classes": 2},
+        "init_mode": "seeded_uniform",
+        "data": {"partition": {"mode": "dirichlet_label_skew", "alpha": 0.1}},
+        "optional_components": ["cluster", "deployment_selector"],
+        "cluster": {"k": 2, "feature_source": "label_distribution"},
+    }
+    cfg = parse_config(raw)
+    run = ExperimentRunner(cfg, tmp_path / "run")
+    run.run()
+    assert len(returned) == len(run.deployment_rows) == 2
+    selector = DeploymentSelector(run.cluster_assignment, run.cluster_model_ids)
+    rec = deploy(run.latest_vid, 1, run.registry.active_ids(), selector)
+    assert len(set(rec.model_ids.values())) == 2
+    want = [
+        evaluate(run._model_params(rec.model_ids[t]), cfg.arch, run.shards[t].test).accuracy
+        for t in rec.targets
+    ]
+    assert returned[-1] == want
+    assert run.deployment_rows[-1]["local_acc_mean"] == seq_sum(want) / len(want)
+
+
 def test_multitask_freezes_global_head():
     cfg = _cfg(
         init_mode="seeded_uniform",
@@ -537,6 +594,34 @@ def test_benchmark_trace_sites_resolve():
             assert hasattr(owner, part), f"{name}: {module_name}.{attr} does not resolve"
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_secure_round_calls_every_traced_site(monkeypatch):
+    # the benchmark times these at fedsim.runner; a refactor that stops
+    # calling one should fail here, not only in the benchmark self-test
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(runner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("pairwise_pads", "mask_submission", "evaluate"):
+        monkeypatch.setattr(runner, name, counting(name))
+    cfg = _cfg(
+        rounds=1, n_clients=6, aggregation_mode="secure", net={"dropout_prob": 0.0},
+        optional_components=["monitor"],
+    )
+    res = run_experiment(cfg, None)
+    participants = res.metrics[0]["n_received"]
+    assert participants >= 2
+    assert calls["pairwise_pads"] == 1
+    assert calls["mask_submission"] == participants
+    assert calls["evaluate"] >= 1
 
 
 # definitions kept although nothing in src/ or bench/ calls them
