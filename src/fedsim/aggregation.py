@@ -446,9 +446,6 @@ class GossipGraph:
     def neighbors(self, node: int) -> tuple[int, ...]:
         return self._neighbors[node]
 
-    def degree(self, node: int) -> int:
-        return len(self._neighbors[node])
-
     def weight(self, a: int, b: int) -> float:
         key = (a, b) if a < b else (b, a)
         return self._edge_weight[key]

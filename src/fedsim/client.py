@@ -29,10 +29,6 @@ from .models import (
 )
 from .data import ClientShard
 
-PAYLOAD_DENSE = "dense"
-PAYLOAD_MASKED = "masked"
-PAYLOAD_COMPRESSED = "compressed"
-
 WITHHELD_GATE = "below-threshold"
 WITHHELD_DIVERGENCE = "divergence"
 
@@ -117,7 +113,7 @@ class UpdateEnvelope:
     round_index: int
     base_version_id: str
     n_samples: int
-    payload_kind: str
+    update_kind: int  # wire kind: K_UPDATE_DENSE, K_UPDATE_MASKED or a sparse kind
     payload: ParameterVector | CompressedUpdate
     local_eval: EvalReport
     byte_size: int
@@ -126,10 +122,11 @@ class UpdateEnvelope:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         dense = isinstance(self.payload, ParameterVector)
-        if self.payload_kind in (PAYLOAD_DENSE, PAYLOAD_MASKED) and not dense:
-            raise ValueError("dense/masked payload must be a ParameterVector")
-        if self.payload_kind == PAYLOAD_COMPRESSED and dense:
-            raise ValueError("compressed payload must be a CompressedUpdate")
+        if self.update_kind in (wire.K_UPDATE_DENSE, wire.K_UPDATE_MASKED):
+            if not dense:
+                raise ValueError("dense/masked payload must be a ParameterVector")
+        elif dense or wire.sparse_bits_for_update_kind(self.update_kind) != self.payload.bits:
+            raise ValueError(f"kind {self.update_kind} needs a CompressedUpdate of its bit width")
 
 
 @dataclass(frozen=True)
@@ -275,7 +272,7 @@ def build_envelope(
     round_index: int,
     base_version_id: str,
     n_samples: int,
-    payload_kind: str,
+    update_kind: int,
     payload,
     report: EvalReport,
 ) -> UpdateEnvelope:
@@ -291,20 +288,11 @@ def build_envelope(
         round_index=round_index,
         base_version_id=base_version_id,
         n_samples=n_samples,
-        payload_kind=payload_kind,
+        update_kind=update_kind,
         payload=payload,
         local_eval=report,
         byte_size=size,
     )
-
-
-def wire_update_kind(env: UpdateEnvelope) -> int:
-    """The update kind of this envelope's payload, as the ledger records it."""
-    if env.payload_kind == PAYLOAD_DENSE:
-        return wire.K_UPDATE_DENSE
-    if env.payload_kind == PAYLOAD_MASKED:
-        return wire.K_UPDATE_MASKED
-    return wire.UPDATE_SPARSE_KIND_BY_BITS[env.payload.bits]
 
 
 def encode_payload_body(payload) -> bytes:
@@ -394,10 +382,10 @@ class ClientRuntime:
             if self.compression is not None:
                 delta = update - update_core(pkg.params.values, body_len)
                 payload = compress(delta, self.compression.top_k, self.compression.bits)
-                payload_kind = PAYLOAD_COMPRESSED
+                update_kind = wire.UPDATE_SPARSE_KIND_BY_BITS[payload.bits]
             else:
                 payload = ParameterVector(update)
-                payload_kind = PAYLOAD_DENSE
+                update_kind = wire.K_UPDATE_DENSE
         except DivergenceError:
             return Withheld(self.client_id, round_index, WITHHELD_DIVERGENCE)
         return build_envelope(
@@ -405,7 +393,7 @@ class ClientRuntime:
             round_index,
             pkg.version_id,
             len(self.shard.train),
-            payload_kind,
+            update_kind,
             payload,
             report,
         )

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnresolvableClassError
+from .errors import ConfigError, UnresolvableClassError
 from .models import Dataset
 
 MODE_IID = "iid"
@@ -87,19 +87,11 @@ class PartitionSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class NormalizerStats:
-    mean: np.ndarray
-    std: np.ndarray
-    constant_mask: np.ndarray  # True where the raw column had no variance
-
-
-@dataclass(frozen=True, eq=False)
 class ClientShard:
     client_id: int
     train: Dataset
     test: Dataset
     label_histogram: tuple[int, ...]
-    stats: NormalizerStats
 
 
 # ---------------------------------------------------------------------------
@@ -137,28 +129,29 @@ def collect(
     return Dataset(feats, labels, spec.num_classes)
 
 
-def preprocess(raw: Dataset) -> tuple[Dataset, NormalizerStats]:
+def preprocess(raw: Dataset) -> Dataset:
     """z-score each column with the client's own moments.
 
-    Columns without variance pass through untouched and are flagged in the
-    returned stats. The labels are raw's, so only the finiteness of the
-    scaled features is checked again.
+    Columns without variance pass through untouched. The labels are raw's,
+    so only the finiteness of the scaled features is checked again. Raises
+    ConfigError when a moment leaves float64, which only the data settings
+    can cause.
     """
     feats = raw.features
     if len(raw) == 0:
-        d = feats.shape[1]
-        stats = NormalizerStats(np.zeros(d), np.ones(d), np.ones(d, dtype=bool))
-        return raw, stats
-    mean = feats.mean(axis=0)
-    std = feats.std(axis=0)  # population form: matches the unit-variance check
+        return raw
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = feats.mean(axis=0)
+        std = feats.std(axis=0)  # population form: matches the unit-variance check
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise ConfigError("data.noise_sigma, data.class_mean_scale: feature moments leave float64")
     constant = std <= _CONSTANT_STD
     safe_std = np.where(constant, 1.0, std)
     scaled = (feats - mean) / safe_std
     scaled[:, constant] = feats[:, constant]
     if not np.isfinite(scaled).all():
         raise ValueError("features contain non-finite entries")
-    out = Dataset._derived(scaled, raw.labels, raw.num_classes)
-    return out, NormalizerStats(mean, std, constant)
+    return Dataset._derived(scaled, raw.labels, raw.num_classes)
 
 
 def split_train_test(data: Dataset, seed: int, client_id: int = 0) -> tuple[Dataset, Dataset]:
@@ -211,10 +204,9 @@ def client_sample_counts(ps: PartitionSpec, ss: SyntheticSpec, n_clients: int) -
 
 def build_shard(ss: SyntheticSpec, client_id: int, weights, n_samples: int) -> ClientShard:
     raw = collect(ss, client_id, weights, n_samples=n_samples)
-    scaled, stats = preprocess(raw)
-    train, test = split_train_test(scaled, ss.seed, client_id)
+    train, test = split_train_test(preprocess(raw), ss.seed, client_id)
     hist = np.bincount(train.labels, minlength=ss.num_classes)
-    return ClientShard(client_id, train, test, tuple(int(c) for c in hist), stats)
+    return ClientShard(client_id, train, test, tuple(int(c) for c in hist))
 
 
 def partition(ps: PartitionSpec, ss: SyntheticSpec, n_clients: int) -> list[ClientShard]:
@@ -237,8 +229,7 @@ def make_holdout(ss: SyntheticSpec, n_samples: int, seed: int) -> Dataset:
     ).astype(np.int64)
     noise = rng.normal(0.0, ss.noise_sigma, size=(n_samples, ss.input_dim))
     feats = ss.class_means[labels] + noise
-    scaled, _ = preprocess(Dataset(feats, labels, ss.num_classes))
-    return scaled
+    return preprocess(Dataset(feats, labels, ss.num_classes))
 
 
 # ---------------------------------------------------------------------------

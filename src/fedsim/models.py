@@ -10,13 +10,13 @@ order, then that layer's bias vector. All per-sample reductions (mean loss,
 accuracy) accumulate strictly left to right so independent re-computation
 can reproduce them.
 
-One kernel, `_sgd_kernel`, computes a batch's loss and gradient for both
-`local_train` and `loss_and_gradient`, on per-layer (weights, bias) views of
-a raw float64 array. Its order: one forward pass to the logits; the row max
-m, exp(logits - m) and the row sums s, which give both the per-sample
-cross-entropy m + log(s) - logit[label] and the probabilities exp(...) / s;
-the mean loss; the backward pass, adding l2 * weights to each weight
-gradient last. `local_train` updates its views in place, `w -= lr * gw`.
+One kernel, `_sgd_kernel`, computes a batch's loss and gradient for
+`local_train`, on per-layer (weights, bias) views of a raw float64 array.
+Its order: one forward pass to the logits; the row max m, exp(logits - m)
+and the row sums s, which give both the per-sample cross-entropy
+m + log(s) - logit[label] and the probabilities exp(...) / s; the mean
+loss; the backward pass, adding l2 * weights to each weight gradient last.
+`local_train` updates its views in place, `w -= lr * gw`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -228,14 +228,6 @@ def _layers(flat: np.ndarray, arch: ArchDescriptor) -> list[tuple[np.ndarray, np
     return out
 
 
-def pack(layers: list[tuple[np.ndarray, np.ndarray]]) -> ParameterVector:
-    parts = []
-    for w, b in layers:
-        parts.append(np.asarray(w, dtype=np.float64).reshape(-1))
-        parts.append(np.asarray(b, dtype=np.float64).reshape(-1))
-    return ParameterVector(np.concatenate(parts))
-
-
 def weight_mask(arch: ArchDescriptor) -> np.ndarray:
     """Boolean mask, True on weight-matrix coordinates, False on biases."""
     mask = np.zeros(arch.parameter_count, dtype=bool)
@@ -289,12 +281,6 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return ce, expd, sums
 
 
-def _per_sample_ce(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> np.ndarray:
-    _check_fit(arch, data, "data")
-    logits, _ = _logits(unpack(params, arch), data.features)
-    return _cross_entropy(logits, data.labels)[0]
-
-
 def _penalty(flat: np.ndarray, mask: np.ndarray | None, l2: float) -> float:
     """(l2/2)*||weights||^2 over the coordinates `mask` selects (None when l2 is 0)."""
     if l2 == 0.0:
@@ -336,24 +322,6 @@ def _sgd_kernel(
         gw1 = gw1 + l2 * w1
         gw2 = gw2 + l2 * w2
     return loss, [(gw1, gb1), (gw2, gb2)]
-
-
-def loss_and_gradient(
-    params: ParameterVector,
-    arch: ArchDescriptor,
-    batch: Dataset,
-    l2: float = 0.0,
-) -> tuple[float, ParameterVector]:
-    """Mean cross-entropy plus (l2/2)*||weights||^2 and its exact gradient.
-
-    The quadratic penalty covers weight matrices only, never biases.
-    """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    _check_fit(arch, batch, "batch")
-    loss, grads = _sgd_kernel(unpack(params, arch), batch.features, batch.labels, l2)
-    loss += _penalty(params.values, weight_mask(arch), l2)
-    return loss, pack(grads)
 
 
 def evaluate(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> EvalReport:
@@ -447,45 +415,6 @@ def local_train(
                 if not np.isfinite(current).all():
                     raise DivergenceError(f"non-finite parameters {at}")
     return ParameterVector(current)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def central_difference(f: Callable[[np.ndarray], float], w: np.ndarray, eps: float) -> np.ndarray:
-    """Central finite differences of scalar f at w: (f(w+e) - f(w-e)) / 2e."""
-    if eps <= 0.0:
-        raise ValueError("eps must be > 0")
-    w = np.asarray(w, dtype=np.float64)
-    out = np.empty_like(w)
-    for i in range(w.shape[0]):
-        hi = w.copy()
-        lo = w.copy()
-        hi[i] += eps
-        lo[i] -= eps
-        out[i] = (f(hi) - f(lo)) / (2.0 * eps)
-    return out
-
-
-def finite_difference_gradient(
-    params: ParameterVector,
-    arch: ArchDescriptor,
-    batch: Dataset,
-    eps: float,
-    l2: float = 0.0,
-) -> ParameterVector:
-    """Numerical gradient of the training objective, for checking the exact one."""
-
-    def objective(w: np.ndarray) -> float:
-        pv = ParameterVector(w)
-        ce = seq_sum(_per_sample_ce(pv, arch, batch).tolist()) / len(batch)
-        return ce + _penalty(pv.values, weight_mask(arch), l2)
-
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    return ParameterVector(central_difference(objective, params.values, eps))
 
 
 # ---------------------------------------------------------------------------

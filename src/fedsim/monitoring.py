@@ -88,15 +88,12 @@ class DeploymentSelector:
 
 @dataclass(frozen=True)
 class DeploymentRecord:
-    version_id: str
     targets: tuple[int, ...]
-    deployed_at_round: int
     model_ids: dict[int, str]  # per-target model actually shipped
 
 
 def deploy(
     version_id: str,
-    round_index: int,
     targets: list[int],
     selector: DeploymentSelector | None = None,
 ) -> DeploymentRecord:
@@ -119,7 +116,7 @@ def deploy(
             if cluster not in selector.cluster_models:
                 raise ValueError(f"cluster {cluster} has no model")
             model_ids[t] = selector.cluster_models[cluster]
-    return DeploymentRecord(version_id, ordered, round_index, model_ids)
+    return DeploymentRecord(ordered, model_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ CLUSTER_SALT = 402
 
 STATUS_ACTIVE = "active"
 STATUS_DROPPED = "dropped"
-STATUS_FLAGGED = "flagged"
 
 STRATEGY_UNIFORM = "uniform_random"
 STRATEGY_TOP_RESOURCE = "top_resource"
@@ -104,40 +103,19 @@ class ClientRegistry:
     def register(
         self, client_id: int, resource_score: float, n_samples: int, t: float
     ) -> ClientRecord:
-        """Add a new client, or bring a dropped one back.
-
-        Re-registration keeps the participation count and last
-        evaluation; a flagged client stays out for good.
-        """
-        existing = self._records.get(client_id)
-        if existing is not None:
-            if existing.status == STATUS_ACTIVE:
-                raise ConflictError(f"client {client_id} is already registered")
-            if existing.status == STATUS_FLAGGED:
-                raise ConflictError(f"client {client_id} is flagged and cannot return")
-            existing.resource_score = resource_score
-            existing.n_samples = n_samples
-            existing.registered_at = t
-            existing.status = STATUS_ACTIVE
-            return existing
+        """Add a client the registry has not seen. A dropped client comes
+        back through reactivate, which keeps its participation count."""
+        if client_id in self._records:
+            raise ConflictError(f"client {client_id} is already registered")
         record = ClientRecord(client_id, resource_score, n_samples, t)
         self._records[client_id] = record
         return record
 
     def mark_dropped(self, client_id: int) -> None:
-        record = self._records[client_id]
-        if record.status == STATUS_FLAGGED:
-            raise ConflictError(f"client {client_id} is flagged; status is final")
-        record.status = STATUS_DROPPED
+        self._records[client_id].status = STATUS_DROPPED
 
     def reactivate(self, client_id: int) -> None:
-        record = self._records[client_id]
-        if record.status == STATUS_FLAGGED:
-            raise ConflictError(f"client {client_id} is flagged; status is final")
-        record.status = STATUS_ACTIVE
-
-    def flag(self, client_id: int) -> None:
-        self._records[client_id].status = STATUS_FLAGGED
+        self._records[client_id].status = STATUS_ACTIVE
 
     def record_participation(self, client_id: int, report: EvalReport | None) -> None:
         record = self._records[client_id]
@@ -171,31 +149,18 @@ class SelectionCriteria:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
-@dataclass(frozen=True)
-class RoundPlan:
-    round_index: int
-    base_global_version: str
-    selected: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.selected:
-            raise ValueError("a round plan needs at least one client")
-        object.__setattr__(self, "selected", tuple(int(c) for c in self.selected))
-
-
 def select_clients(
     registry: ClientRegistry,
     criteria: SelectionCriteria,
     fraction: float,
     round_index: int,
     seed: int,
-    base_version: str,
-) -> RoundPlan:
+) -> tuple[int, ...]:
     """Pick this round's participants from the eligible active clients.
 
     Filters first, then the strategy decides: uniform sampling without
     replacement, or a descending sort on resource or last accuracy with
-    client id breaking ties.  The plan lists ids in ascending order.
+    client id breaking ties.  Returns at least one id, in ascending order.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
@@ -226,7 +191,7 @@ def select_clients(
 
         ranked = sorted(eligible, key=lambda r: (-accuracy(r), r.client_id))
         selected = sorted(r.client_id for r in ranked[:count])
-    return RoundPlan(round_index, base_version, tuple(selected))
+    return tuple(selected)
 
 
 # ---------------------------------------------------------------------------

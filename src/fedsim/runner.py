@@ -58,7 +58,6 @@ from .aggregation import (
     secure_sum,
 )
 from .client import (
-    PAYLOAD_MASKED,
     ClientRuntime,
     ModelPackage,
     UpdateEnvelope,
@@ -68,7 +67,6 @@ from .client import (
     dense_update,
     encode_payload_body,
     update_core,
-    wire_update_kind,
     with_head,
 )
 from .config import (
@@ -367,7 +365,7 @@ class ExperimentRunner:
             client_id=env.client_id,
             payload_hash=digest,
             n_samples=env.n_samples,
-            update_kind=wire_update_kind(env),
+            update_kind=env.update_kind,
             base_version=env.base_version_id,
             loss=float(ev.loss),
             accuracy=float(ev.accuracy),
@@ -436,7 +434,7 @@ class ExperimentRunner:
                 selector = None
                 if cfg.has(FLAG_DEPLOYMENT_SELECTOR):
                     selector = DeploymentSelector(self.cluster_assignment, self.cluster_model_ids)
-                rec = deploy(self.latest_vid, r, targets, selector)
+                rec = deploy(self.latest_vid, targets, selector)
                 layers = {
                     mid: unpack(self._model_params(mid), cfg.arch)
                     for mid in set(rec.model_ids.values())
@@ -500,17 +498,15 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
 
     def _select(self, r: int, fraction: float):
-        """This round's selection plan, or None when selection starves."""
+        """This round's selected client ids, or None when selection starves."""
         try:
-            plan = select_clients(
-                self.registry, self.cfg.selection, fraction, r, self.cfg.seed, self.latest_vid
-            )
+            selected = select_clients(self.registry, self.cfg.selection, fraction, r, self.cfg.seed)
         except SelectionStarvationError:
             self._starved += 1
             self._log({"event": "starved", "round": r})
             return None
-        self._tally[r]["n_selected"] += len(plan.selected)
-        return plan
+        self._tally[r]["n_selected"] += len(selected)
+        return selected
 
     def _broadcast(self, r, selected, pkg, sent_at):
         """Send `pkg` to each selected client in turn, yielding (client,
@@ -592,32 +588,31 @@ class ExperimentRunner:
 
     def _run_sync_round(self, r: int) -> None:
         cfg = self.cfg
-        plan = self._select(r, self._begin_round(r))
-        if plan is None:
+        selected = self._select(r, self._begin_round(r))
+        if selected is None:
             self._post_round(r)
             return
         pkg = self._package()
         cutoff = self._cutoff()
-        delivered = list(self._broadcast(r, plan.selected, pkg, self.clock))
+        delivered = list(self._broadcast(r, selected, pkg, self.clock))
 
         # masking can be requested on top of plain fedavg; the minted record
         # carries the protocol actually used so replay recomputes it right
         if cfg.secure_masking:
-            minted_mode = MODE_SECURE
-            detail, contributors, agg = self._secure_exchange(r, pkg, delivered, cutoff)
+            minted_mode, exchange = MODE_SECURE, self._secure_exchange
         elif cfg.aggregation_mode == MODE_HIERARCHICAL:
-            minted_mode = cfg.aggregation_mode
-            detail, contributors, agg = self._hierarchical_exchange(r, pkg, delivered, cutoff)
+            minted_mode, exchange = cfg.aggregation_mode, self._hierarchical_exchange
         else:
-            minted_mode = cfg.aggregation_mode
-            detail, contributors, agg = self._fedavg_exchange(r, pkg, delivered, cutoff)
+            minted_mode, exchange = cfg.aggregation_mode, self._fedavg_exchange
+        detail, contributors, agg, weighted = exchange(r, pkg, delivered, cutoff)
 
         self._finish_round_clock()
         responded = [c.client_id for c in contributors]
-        self._drop_nonresponders(r, plan.selected, responded)
+        self._drop_nonresponders(r, selected, responded)
         if agg is not None:
             params = with_head(agg, pkg.params.values, self.body_len)
-            self._mint(params, contributors, r, minted_mode, detail)
+            vid = self._mint(params, contributors, r, minted_mode, detail)
+            self._update_cluster_models(vid, weighted, pkg.params)
         self._post_round(r)
 
     def _fedavg_exchange(self, r, pkg, delivered, cutoff):
@@ -628,7 +623,7 @@ class ExperimentRunner:
                 arrivals.append(env)
         if len(arrivals) < self.cfg.min_updates:
             self._log({"event": "round_failed", "round": r, "reason": "too few updates"})
-            return {}, [], None
+            return {}, [], None, []
         arrivals.sort(key=lambda env: env.client_id)
         weighted = [
             WeightedUpdate(env.client_id, self._reconstruct(env, pkg.params), env.n_samples)
@@ -636,9 +631,7 @@ class ExperimentRunner:
         ]
         agg = fedavg(weighted)
         contributors = [self._accept(env) for env in arrivals]
-        vid_next = wire.format_version(self._next_version_n)
-        self._update_cluster_models(vid_next, weighted, pkg.params)
-        return {}, contributors, agg
+        return {}, contributors, agg, weighted
 
     def _secure_exchange(self, r, pkg, delivered, cutoff):
         cfg = self.cfg
@@ -648,7 +641,7 @@ class ExperimentRunner:
             self._log(
                 {"event": "round_failed", "round": r, "reason": "fewer than 2 masking participants"}
             )
-            return {}, [], None
+            return {}, [], None, []
         ids = [env.client_id for _, env in commits]
         round_seed = wire.fnv1a64(struct.pack("<QI", cfg.seed & 0xFFFFFFFFFFFFFFFF, r))
         pads = pairwise_pads(ids, round_seed)
@@ -661,7 +654,7 @@ class ExperimentRunner:
         for t, env in commits:
             cid = env.client_id
             sub = build_envelope(
-                cid, r, pkg.version_id, env.n_samples, PAYLOAD_MASKED,
+                cid, r, pkg.version_id, env.n_samples, wire.K_UPDATE_MASKED,
                 ParameterVector(masked[cid]), env.local_eval,
             )
             t_up = self._upload(
@@ -675,10 +668,11 @@ class ExperimentRunner:
         except SecureAbortError as e:
             self._log({"event": "secure_abort", "round": r, "reason": str(e)})
             self._log({"event": "round_failed", "round": r, "reason": "masking participant lost"})
-            return {}, [], None
+            return {}, [], None, []
         arrivals.sort(key=lambda env: env.client_id)
         contributors = [self._accept(env) for env in arrivals]
-        return {}, contributors, agg
+        # masked submissions reveal no per-client update to cluster
+        return {}, contributors, agg, []
 
     def _hierarchical_exchange(self, r, pkg, delivered, cutoff):
         cfg = self.cfg
@@ -704,7 +698,7 @@ class ExperimentRunner:
         total_members = sum(len(v) for v in members_by_edge.values())
         if not groups or total_members < cfg.min_updates:
             self._log({"event": "round_failed", "round": r, "reason": "no surviving edge groups"})
-            return {}, [], None
+            return {}, [], None, []
         weighted = []
         contributors = []
         for edge in sorted(members_by_edge):
@@ -714,10 +708,8 @@ class ExperimentRunner:
                 )
                 contributors.append(self._accept(env))
         agg = hierarchical_aggregate(groups, weighted)
-        vid_next = wire.format_version(self._next_version_n)
-        self._update_cluster_models(vid_next, weighted, pkg.params)
         detail = {"groups": [[g.edge_id, list(g.member_ids)] for g in groups]}
-        return detail, contributors, agg
+        return detail, contributors, agg, weighted
 
     # ------------------------------------------------------------------
     # decentralised rounds
@@ -784,12 +776,12 @@ class ExperimentRunner:
                 r = ev.payload
                 if r > 0:
                     self._post_round(r - 1)
-                plan = self._select(r, self._begin_round(r))
-                if plan is None:
+                selected = self._select(r, self._begin_round(r))
+                if selected is None:
                     continue
                 pkg = self._package()
                 # lazy: each broadcast goes out just before its client trains
-                delivered = self._broadcast(r, plan.selected, pkg, ev.time_s)
+                delivered = self._broadcast(r, selected, pkg, ev.time_s)
                 for cid, t, env in self._client_updates(r, delivered, lambda _: pkg):
                     t_up = self._upload("update", cid, wire.SERVER_SENDER, env.byte_size, t, r)
                     if t_up is not None:

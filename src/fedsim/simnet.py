@@ -52,10 +52,6 @@ class Envelope:
     sent_at: float
     delivered_at: float | None  # None means the message was dropped
 
-    @property
-    def dropped(self) -> bool:
-        return self.delivered_at is None
-
 
 def send(
     cfg: NetConfig,

@@ -40,13 +40,12 @@ from fedsim.models import (
     EvalReport,
     ParameterVector,
     evaluate,
-    finite_difference_gradient,
     init_params,
-    loss_and_gradient,
 )
 from fedsim.replay import STATUS_HASH_MISMATCH, STATUS_MATCH, all_match, replay_run
 from fedsim.runner import run_experiment
-from fedsim.wire import K_UPDATE_MASKED
+from fedsim.wire import K_UPDATE_DENSE, K_UPDATE_MASKED, K_UPDATE_SPARSE8
+from gradcheck import finite_difference_gradient, loss_and_gradient
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CONFIGS = sorted(GOLDEN_DIR.glob("g*.json"))
@@ -262,8 +261,8 @@ def test_criterion_07_compression_bound_and_bytes():
     v = rng.normal(size=d)
     cu = compress(v, top_k=0.1, bits=8)
     report = EvalReport(0.5, 0.5, 10, (5, 5))
-    sparse = build_envelope(0, 1, "g0", 10, "compressed", cu, report).byte_size
-    dense = build_envelope(0, 1, "g0", 10, "dense", ParameterVector(v), report).byte_size
+    sparse = build_envelope(0, 1, "g0", 10, K_UPDATE_SPARSE8, cu, report).byte_size
+    dense = build_envelope(0, 1, "g0", 10, K_UPDATE_DENSE, ParameterVector(v), report).byte_size
     overhead = dense - 8 * d  # header, base version, n_samples, eval block
     exact = (
         len(cu.indices) == k

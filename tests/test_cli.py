@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -58,6 +59,16 @@ def test_batch_larger_than_a_shard_exits_two(tmp_path, capsys):
     )
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config error: hp.batch_size 20 exceeds" in capsys.readouterr().err
+
+
+def test_overflowing_feature_moments_exit_two(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"n_clients": 3, "rounds": 2, "data": {"noise_sigma": 1e300}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: data.noise_sigma, data.class_mean_scale" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unreadable_config_exits_two(tmp_path, capsys):

@@ -23,7 +23,6 @@ from fedsim.client import (
     decompress,
     encode_payload_body,
     upload_gate,
-    wire_update_kind,
 )
 from fedsim.data import PartitionSpec, SyntheticSpec, partition
 from fedsim.errors import CorruptMessageError, DivergenceError
@@ -112,7 +111,7 @@ def test_handle_broadcast_matches_composed_ops():
     report = evaluate(trained, pkg.arch, shard.test)
     assert upload_gate(report, GatePolicy())
     cu = compress(trained.values - pkg.params.values, spec.top_k, spec.bits)
-    expect = build_envelope(0, 2, "g0", len(shard.train), "compressed", cu, report)
+    expect = build_envelope(0, 2, "g0", len(shard.train), wire.K_UPDATE_SPARSE8, cu, report)
 
     assert env.local_eval == expect.local_eval
     assert env.byte_size == expect.byte_size
@@ -243,11 +242,13 @@ def test_compression_bytes_monotone():
 
     rng = np.random.default_rng(9)
     x = rng.normal(size=400)
-    sizes_by_topk = [size("compressed", compress(x, tk, 8)) for tk in (0.1, 0.5, 1.0)]
+    sizes_by_topk = [size(wire.K_UPDATE_SPARSE8, compress(x, tk, 8)) for tk in (0.1, 0.5, 1.0)]
     assert sizes_by_topk == sorted(sizes_by_topk)
-    sizes_by_bits = [size("compressed", compress(x, 0.5, b)) for b in (4, 8, 16)]
+    sizes_by_bits = [
+        size(wire.UPDATE_SPARSE_KIND_BY_BITS[b], compress(x, 0.5, b)) for b in (4, 8, 16)
+    ]
     assert sizes_by_bits == sorted(sizes_by_bits)
-    dense = size("dense", ParameterVector(x))
+    dense = size(wire.K_UPDATE_DENSE, ParameterVector(x))
     assert all(s < dense for s in sizes_by_bits)
 
 
@@ -337,7 +338,7 @@ def _reference_envelope(env):
     count = len(payload) if isinstance(payload, ParameterVector) else len(payload.indices)
     k = len(ev.per_class_counts)
     base = int(env.base_version_id.removeprefix("g"))
-    head = struct.pack("<6I", wire_update_kind(env), env.round_index, env.client_id, count,
+    head = struct.pack("<6I", env.update_kind, env.round_index, env.client_id, count,
                        base, env.n_samples)
     evb = struct.pack(f"<ddIII{k}I", ev.loss, ev.accuracy, ev.n_samples, k,
                       int(ev.degenerate), *ev.per_class_counts)
@@ -345,23 +346,21 @@ def _reference_envelope(env):
 
 
 def _body_round_trip(env):
-    return decode_payload_body(wire_update_kind(env), encode_payload_body(env.payload))
+    return decode_payload_body(env.update_kind, encode_payload_body(env.payload))
 
 
 def test_envelope_dense_round_trip():
     payload = ParameterVector(np.random.default_rng(0).normal(size=12))
-    env = build_envelope(3, 5, "g4", 40, "dense", payload, _report())
+    env = build_envelope(3, 5, "g4", 40, wire.K_UPDATE_DENSE, payload, _report())
     assert len(_reference_envelope(env)) == env.byte_size
-    assert wire_update_kind(env) == wire.K_UPDATE_DENSE
     back = _body_round_trip(env)
     assert np.array_equal(back.values, payload.values)
 
 
 def test_envelope_masked_round_trip():
     payload = ParameterVector(np.array([1.5, -2.5, 3.5]))
-    env = build_envelope(1, 2, "g1", 10, "masked", payload, _report())
+    env = build_envelope(1, 2, "g1", 10, wire.K_UPDATE_MASKED, payload, _report())
     assert len(_reference_envelope(env)) == env.byte_size
-    assert wire_update_kind(env) == wire.K_UPDATE_MASKED
     back = _body_round_trip(env)
     assert np.array_equal(back.values, payload.values)
 
@@ -370,7 +369,7 @@ def test_envelope_masked_round_trip():
 def test_envelope_compressed_round_trip(bits):
     x = np.random.default_rng(7).normal(size=30)
     cu = compress(x, top_k=0.3, bits=bits)
-    env = build_envelope(2, 9, "g8", 25, "compressed", cu, _report())
+    env = build_envelope(2, 9, "g8", 25, wire.UPDATE_SPARSE_KIND_BY_BITS[bits], cu, _report())
     assert len(_reference_envelope(env)) == env.byte_size
     back = _body_round_trip(env)
     assert back.bits == bits
@@ -382,9 +381,23 @@ def test_envelope_compressed_round_trip(bits):
 
 def test_envelope_truncation_detected():
     payload = ParameterVector(np.zeros(4))
-    env = build_envelope(0, 1, "g0", 5, "dense", payload, _report())
+    env = build_envelope(0, 1, "g0", 5, wire.K_UPDATE_DENSE, payload, _report())
     with pytest.raises(CorruptMessageError):
-        decode_payload_body(wire_update_kind(env), encode_payload_body(payload)[:-1])
+        decode_payload_body(env.update_kind, encode_payload_body(payload)[:-1])
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        (wire.K_UPDATE_DENSE, compress(np.arange(1.0, 9.0), top_k=0.5, bits=8)),
+        (wire.K_UPDATE_SPARSE8, compress(np.arange(1.0, 9.0), top_k=0.5, bits=4)),
+        (wire.K_UPDATE_MASKED, compress(np.arange(1.0, 9.0), top_k=0.5, bits=8)),
+    ],
+    ids=["dense-kind-sparse-payload", "sparse8-kind-4-bit-payload", "masked-kind-sparse-payload"],
+)
+def test_envelope_rejects_payload_of_another_kind(kind, payload):
+    with pytest.raises(ValueError, match="payload must be|bit width"):
+        build_envelope(0, 1, "g0", 5, kind, payload, _report())
 
 
 def test_feature_sentinels_never_reach_the_wire():
@@ -415,12 +428,12 @@ def test_payload_body_round_trip_dense():
 
 
 def test_payload_body_round_trip_sparse():
-    from fedsim.client import decode_payload_body, encode_payload_body, wire_update_kind
+    from fedsim.client import decode_payload_body, encode_payload_body
 
     cu = compress(np.array([0.0, 5.0, -3.0, 0.5]), top_k=0.5, bits=8)
-    env = build_envelope(0, 1, "g0", 5, "compressed", cu, _report())
+    env = build_envelope(0, 1, "g0", 5, wire.K_UPDATE_SPARSE8, cu, _report())
     buf = encode_payload_body(cu)
-    back = decode_payload_body(wire_update_kind(env), buf)
+    back = decode_payload_body(env.update_kind, buf)
     assert np.array_equal(back.indices, cu.indices)
     assert np.array_equal(back.codes, cu.codes)
     assert back.scale == cu.scale
@@ -430,7 +443,7 @@ def test_payload_body_round_trip_sparse():
 @pytest.mark.parametrize("bits", [4, 8, 16])
 def test_empty_sparse_envelope_decodes_like_its_payload_body(bits):
     empty = CompressedUpdate(d=1, indices=[], codes=[], bits=bits, scale=0.0)
-    env = build_envelope(2, 3, "g1", 5, "compressed", empty, _report())
+    env = build_envelope(2, 3, "g1", 5, wire.UPDATE_SPARSE_KIND_BY_BITS[bits], empty, _report())
     assert len(_reference_envelope(env)) == env.byte_size
     body = _body_round_trip(env)
     assert body.d == 1

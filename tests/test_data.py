@@ -74,8 +74,7 @@ def test_preprocess_zscores_and_flags_constant_columns():
     feats = rng.normal(5.0, 3.0, size=(200, 3))
     feats[:, 1] = 42.0  # constant column
     raw = Dataset(feats, rng.integers(0, 2, size=200), 2)
-    scaled, stats = preprocess(raw)
-    assert stats.constant_mask.tolist() == [False, True, False]
+    scaled = preprocess(raw)
     # constant column passes through untouched
     assert np.array_equal(scaled.features[:, 1], feats[:, 1])
     for j in (0, 2):
@@ -86,8 +85,8 @@ def test_preprocess_zscores_and_flags_constant_columns():
 def test_preprocess_idempotent_within_tolerance():
     rng = np.random.default_rng(3)
     raw = Dataset(rng.normal(2.0, 4.0, size=(150, 4)), rng.integers(0, 2, size=150), 2)
-    once, _ = preprocess(raw)
-    twice, _ = preprocess(once)
+    once = preprocess(raw)
+    twice = preprocess(once)
     assert np.max(np.abs(twice.features - once.features)) <= 1e-9
 
 
@@ -169,7 +168,7 @@ def _reference_shard(ss, client_id, weights, n_samples):
     test_idx, train_idx = np.sort(order[:n_test]), np.sort(order[n_test:])
     train = Dataset(data.features[train_idx], data.labels[train_idx], data.num_classes)
     test = Dataset(data.features[test_idx], data.labels[test_idx], data.num_classes)
-    return train, test, (mean, std, constant)
+    return train, test
 
 
 @pytest.mark.parametrize(
@@ -187,15 +186,13 @@ def test_partition_equals_validated_reference(ps):
     weights = client_class_weights(ps, ss, 40)
     counts = client_sample_counts(ps, ss, 40)
     for cid, shard in enumerate(shards):
-        train, test, stats = _reference_shard(ss, cid, weights[cid], int(counts[cid]))
+        train, test = _reference_shard(ss, cid, weights[cid], int(counts[cid]))
         for got, want in ((shard.train, train), (shard.test, test)):
             assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
             assert np.array_equal(got.features, want.features)
             assert np.array_equal(got.labels, want.labels)
             assert got.num_classes == want.num_classes
             assert not got.features.flags.writeable and not got.labels.flags.writeable
-        got_stats = (shard.stats.mean, shard.stats.std, shard.stats.constant_mask)
-        assert all(np.array_equal(a, b) for a, b in zip(got_stats, stats))
 
 
 def test_split_sizes_and_histogram():
@@ -224,9 +221,7 @@ def _skewed_shard(n0=90, n1=10):
     train = Dataset(feats, labels, 2)
     hist = tuple(np.bincount(labels, minlength=2).tolist())
     empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
-    from fedsim.data import NormalizerStats
-    stats = NormalizerStats(np.zeros(3), np.ones(3), np.zeros(3, dtype=bool))
-    return ClientShard(0, train, empty, hist, stats)
+    return ClientShard(0, train, empty, hist)
 
 
 def test_augment_noop_when_already_balanced():

@@ -12,20 +12,22 @@ from fedsim.models import (
     EvalReport,
     Hyperparameters,
     ParameterVector,
-    _per_sample_ce,
     accuracies,
-    central_difference,
     evaluate,
-    finite_difference_gradient,
     init_params,
     load_checkpoint,
     local_train,
-    loss_and_gradient,
-    pack,
     save_checkpoint,
     seq_sum,
     unpack,
     weight_mask,
+)
+from gradcheck import (
+    _per_sample_ce,
+    central_difference,
+    finite_difference_gradient,
+    loss_and_gradient,
+    pack,
 )
 
 LOGISTIC = ArchDescriptor("logistic", input_dim=4, hidden_dim=0, num_classes=3)

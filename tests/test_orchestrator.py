@@ -16,7 +16,6 @@ from fedsim.models import (
 from fedsim.orchestrator import (
     STATUS_ACTIVE,
     STATUS_DROPPED,
-    STATUS_FLAGGED,
     STRATEGY_TOP_ACCURACY,
     STRATEGY_TOP_RESOURCE,
     ClientRegistry,
@@ -82,30 +81,22 @@ def test_duplicate_active_registration_rejected():
         reg.register(0, 0.9, 10, t=2.0)
 
 
-def test_reregistration_keeps_participation_count():
-    reg = _registry([0.5])
+def test_reactivation_keeps_participation_count():
+    reg = _registry([0.5, 0.6])
     for _ in range(5):
         reg.record_participation(0, _report(0.8))
     reg.mark_dropped(0)
     assert reg.get(0).status == STATUS_DROPPED
-    rec = reg.register(0, 0.7, 60, t=9.0)
-    assert rec.rounds_participated == 5
-    assert rec.status == STATUS_ACTIVE
-    assert rec.resource_score == 0.7
-    assert rec.n_samples == 60
-
-
-def test_flagged_status_is_sticky():
-    reg = _registry([0.5, 0.6])
-    reg.flag(0)
-    assert reg.get(0).status == STATUS_FLAGGED
-    with pytest.raises(ConflictError, match="flagged"):
-        reg.register(0, 0.9, 10, t=3.0)
-    with pytest.raises(ConflictError, match="flagged"):
-        reg.mark_dropped(0)
-    with pytest.raises(ConflictError, match="flagged"):
-        reg.reactivate(0)
     assert reg.active_ids() == [1]
+    # a dropped client comes back through reactivate only
+    with pytest.raises(ConflictError, match="already registered"):
+        reg.register(0, 0.7, 60, t=9.0)
+    reg.reactivate(0)
+    rec = reg.get(0)
+    assert rec.status == STATUS_ACTIVE
+    assert rec.rounds_participated == 5
+    assert rec.last_local_eval == _report(0.8)
+    assert reg.active_ids() == [0, 1]
 
 
 def test_participation_updates_eval():
@@ -135,55 +126,54 @@ def test_registry_jsonl_snapshot(tmp_path):
 
 def test_full_fraction_selects_everyone_sorted():
     reg = _registry([0.9, 0.2, 0.7, 0.4])
-    plan = select_clients(reg, SelectionCriteria(), 1.0, 0, seed=1, base_version="g0")
-    assert plan.selected == (0, 1, 2, 3)
-    assert plan.base_global_version == "g0"
+    selected = select_clients(reg, SelectionCriteria(), 1.0, 0, seed=1)
+    assert selected == (0, 1, 2, 3)
 
 
 def test_resource_filter_excludes_low_scores():
     reg = _registry([0.2, 0.9])
     criteria = SelectionCriteria(min_resource=0.5)
-    plan = select_clients(reg, criteria, 1.0, 0, seed=1, base_version="g0")
-    assert plan.selected == (1,)
+    selected = select_clients(reg, criteria, 1.0, 0, seed=1)
+    assert selected == (1,)
 
 
 def test_sample_filter_and_starvation():
     reg = _registry([0.9, 0.9], n_samples=5)
     criteria = SelectionCriteria(min_samples=10)
     with pytest.raises(SelectionStarvationError, match="no active client"):
-        select_clients(reg, criteria, 1.0, 3, seed=1, base_version="g0")
+        select_clients(reg, criteria, 1.0, 3, seed=1)
 
 
 def test_dropped_clients_are_not_eligible():
     reg = _registry([0.9, 0.9, 0.9])
     reg.mark_dropped(1)
-    plan = select_clients(reg, SelectionCriteria(), 1.0, 0, seed=1, base_version="g0")
-    assert plan.selected == (0, 2)
+    selected = select_clients(reg, SelectionCriteria(), 1.0, 0, seed=1)
+    assert selected == (0, 2)
 
 
 def test_uniform_selection_golden_triple():
     # frozen from the first audited run: 10 eligible, fraction 0.3, seed 7
     reg = _registry([1.0] * 10)
-    plan = select_clients(reg, SelectionCriteria(), 0.3, 1, seed=7, base_version="g0")
-    assert len(plan.selected) == 3
-    assert plan.selected == (3, 4, 9)
+    selected = select_clients(reg, SelectionCriteria(), 0.3, 1, seed=7)
+    assert len(selected) == 3
+    assert selected == (3, 4, 9)
 
 
 def test_uniform_selection_is_deterministic_and_round_sensitive():
     reg = _registry([1.0] * 10)
-    a = select_clients(reg, SelectionCriteria(), 0.5, 2, seed=11, base_version="g0")
-    b = select_clients(reg, SelectionCriteria(), 0.5, 2, seed=11, base_version="g0")
-    c = select_clients(reg, SelectionCriteria(), 0.5, 3, seed=11, base_version="g0")
-    assert a.selected == b.selected
-    assert len(c.selected) == len(a.selected)
-    assert a.selected != c.selected or a.round_index != c.round_index
+    a = select_clients(reg, SelectionCriteria(), 0.5, 2, seed=11)
+    b = select_clients(reg, SelectionCriteria(), 0.5, 2, seed=11)
+    c = select_clients(reg, SelectionCriteria(), 0.5, 3, seed=11)
+    assert a == b
+    assert len(c) == len(a)
+    assert a != c
 
 
 def test_top_resource_takes_highest_with_id_tiebreak():
     reg = _registry([0.5, 0.9, 0.9, 0.1])
     criteria = SelectionCriteria(strategy=STRATEGY_TOP_RESOURCE)
-    plan = select_clients(reg, criteria, 0.5, 0, seed=1, base_version="g0")
-    assert plan.selected == (1, 2)
+    selected = select_clients(reg, criteria, 0.5, 0, seed=1)
+    assert selected == (1, 2)
 
 
 def test_top_accuracy_prefers_evaluated_clients():
@@ -191,32 +181,32 @@ def test_top_accuracy_prefers_evaluated_clients():
     reg.record_participation(2, _report(0.6))
     reg.record_participation(3, _report(0.8))
     criteria = SelectionCriteria(strategy=STRATEGY_TOP_ACCURACY)
-    plan = select_clients(reg, criteria, 0.5, 0, seed=1, base_version="g0")
-    assert plan.selected == (2, 3)
+    selected = select_clients(reg, criteria, 0.5, 0, seed=1)
+    assert selected == (2, 3)
 
 
 def test_selection_count_is_ceiling():
     reg = _registry([1.0] * 7)
-    plan = select_clients(reg, SelectionCriteria(), 0.3, 0, seed=2, base_version="g0")
-    assert len(plan.selected) == 3  # ceil(0.3 * 7)
+    selected = select_clients(reg, SelectionCriteria(), 0.3, 0, seed=2)
+    assert len(selected) == 3  # ceil(0.3 * 7)
 
 
 def test_fraction_bounds_checked():
     reg = _registry([1.0])
     with pytest.raises(ValueError, match="fraction"):
-        select_clients(reg, SelectionCriteria(), 0.0, 0, seed=1, base_version="g0")
+        select_clients(reg, SelectionCriteria(), 0.0, 0, seed=1)
     with pytest.raises(ValueError, match="fraction"):
-        select_clients(reg, SelectionCriteria(), 1.2, 0, seed=1, base_version="g0")
+        select_clients(reg, SelectionCriteria(), 1.2, 0, seed=1)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 20))
 @settings(max_examples=40, deadline=None)
 def test_uniform_selection_within_eligible_set(seed, n):
     reg = _registry([1.0] * n)
-    plan = select_clients(reg, SelectionCriteria(), 0.4, 0, seed=seed, base_version="g0")
-    assert len(plan.selected) == len(set(plan.selected))
-    assert set(plan.selected) <= set(range(n))
-    assert plan.selected == tuple(sorted(plan.selected))
+    selected = select_clients(reg, SelectionCriteria(), 0.4, 0, seed=seed)
+    assert len(selected) == len(set(selected))
+    assert set(selected) <= set(range(n))
+    assert selected == tuple(sorted(selected))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import importlib
 import json
 import re
 import runpy
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -94,6 +95,17 @@ def test_batch_larger_than_smallest_shard_is_rejected_at_setup(raw, smallest):
     # before anything trains
     with pytest.raises(ConfigError, match=rf"hp\.batch_size 20 exceeds .* \({smallest} samples"):
         ExperimentRunner(parse_config(raw))
+
+
+HUGE_NOISE = {"n_clients": 3, "rounds": 2, "data": {"noise_sigma": 1e300}}
+
+
+def test_feature_moments_past_float64_are_a_named_config_error():
+    # the z-score moments overflow; training on the zeros they leave is no run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"data\.noise_sigma, data\.class_mean_scale"):
+            ExperimentRunner(parse_config(HUGE_NOISE))
 
 
 def _merge_overflowing_from_wave(wave):
@@ -447,7 +459,7 @@ def test_cluster_routed_deploy_accuracies_equal_evaluate(tmp_path, monkeypatch):
     run.run()
     assert len(returned) == len(run.deployment_rows) == 2
     selector = DeploymentSelector(run.cluster_assignment, run.cluster_model_ids)
-    rec = deploy(run.latest_vid, 1, run.registry.active_ids(), selector)
+    rec = deploy(run.latest_vid, run.registry.active_ids(), selector)
     assert len(set(rec.model_ids.values())) == 2
     want = [
         evaluate(run._model_params(rec.model_ids[t]), cfg.arch, run.shards[t].test).accuracy
@@ -627,43 +639,67 @@ def test_secure_round_calls_every_traced_site(monkeypatch):
 # definitions kept although nothing in src/ or bench/ calls them
 KEPT_WITHOUT_CALLER = {
     "load_checkpoint": "the public reader of a run's checkpoint artifact",
-    "finite_difference_gradient": "the gradient reference acceptance criterion 08 checks against",
-    "loss_and_gradient": "the exact gradient acceptance criterion 08 checks",
 }
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-def _references(tree) -> Counter:
-    """Names a tree refers to: identifiers, attributes, and the parts of
-    dotted-name strings such as the benchmark's trace sites."""
-    names = Counter()
-    for node in ast.walk(tree):
+
+def _walk(tree):
+    """ast.walk, without the inside of KEPT_WITHOUT_CALLER definitions."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not (isinstance(node, _DEFINITIONS) and node.name in KEPT_WITHOUT_CALLER):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _references(tree) -> tuple[Counter, Counter]:
+    """What a tree refers to, as (identifiers, members). Members are
+    attributes and the parts of dotted-name strings such as the
+    benchmark's trace sites."""
+    names, members = Counter(), Counter()
+    for node in _walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            members[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if re.fullmatch(r"[\w.]+", node.value):
-                names.update(node.value.split("."))
-    return names
+                members.update(node.value.split("."))
+    return names, members
 
 
 def test_every_definition_has_a_caller_outside_tests():
-    # no function is kept only for its own tests
+    # no function is kept only for its own tests. A method is reached only
+    # through a member, so a local variable of the same name is no caller.
     root = Path(__file__).parents[1]
     src = sorted((root / "src" / "fedsim").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in src + sorted(root.glob("bench/*.py"))}
-    total = sum((_references(tree) for tree in trees.values()), Counter())
+    names, members = Counter(), Counter()
+    for tree in trees.values():
+        tree_names, tree_members = _references(tree)
+        names += tree_names
+        members += tree_members
     uncalled = []
     for path in src:
+        owner = {}
         for node in ast.walk(trees[path]):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                owner.update((child, f"{node.name}.") for child in node.body)
+        for node in _walk(trees[path]):
+            if not isinstance(node, _DEFINITIONS):
                 continue
             name = node.name
             exempt = re.fullmatch(r"__\w+__", name) or name in fedsim.__all__
             if exempt or name in KEPT_WITHOUT_CALLER:
                 continue
-            if total[name] == _references(node)[name]:
-                uncalled.append(f"{path.stem}.{name}")
+            own_names, own_members = _references(node)
+            callers = members[name] - own_members[name]
+            if node not in owner:
+                callers += names[name] - own_names[name]
+            if callers == 0:
+                uncalled.append(f"{path.stem}.{owner.get(node, '')}{name}")
     assert uncalled == []
 
 

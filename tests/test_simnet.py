@@ -30,14 +30,14 @@ def test_send_no_noise_delivers_at_sent_time():
     cfg = NetConfig(latency_ms_min=0, latency_ms_max=0, dropout_prob=0.0, seed=1)
     env = send(cfg, sender=1, receiver=2, byte_size=100, sent_at=5.0, seq=0)
     assert env.delivered_at == 5.0
-    assert not env.dropped
+    assert env.delivered_at is not None
 
 
 def test_send_near_certain_dropout_drops():
     cfg = NetConfig(dropout_prob=1 - 1e-12, seed=3)
     for seq in range(20):
         env = send(cfg, 1, 2, 64, 0.0, seq)
-        assert env.dropped
+        assert env.delivered_at is None
 
 
 def test_send_bandwidth_arithmetic():
@@ -151,20 +151,20 @@ def _update_size(kind, payload):
 def test_byte_size_dense_params():
     pv = ParameterVector(np.zeros(25))
     assert wire.dense_message_size(25) == 16 + 8 * 25
-    assert _update_size("dense", pv) == _ENVELOPE_OVERHEAD + 8 * 25
+    assert _update_size(wire.K_UPDATE_DENSE, pv) == _ENVELOPE_OVERHEAD + 8 * 25
 
 
 def test_byte_size_compressed_example():
     rng = np.random.default_rng(1)
     cu = compress(rng.normal(size=1000), top_k=0.1, bits=8)
-    assert _update_size("compressed", cu) == _ENVELOPE_OVERHEAD + 100 * (4 + 1) + 8 == 568
+    assert _update_size(wire.K_UPDATE_SPARSE8, cu) == _ENVELOPE_OVERHEAD + 100 * (4 + 1) + 8 == 568
 
 
 def test_byte_size_recompression_round_trip():
     rng = np.random.default_rng(2)
     cu = compress(rng.normal(size=300), top_k=0.25, bits=16)
     again = compress(decompress(cu), top_k=0.25, bits=16)
-    assert _update_size("compressed", again) == _update_size("compressed", cu)
+    assert _update_size(wire.K_UPDATE_SPARSE16, again) == _update_size(wire.K_UPDATE_SPARSE16, cu)
 
 
 # ---------------------------------------------------------------------------
