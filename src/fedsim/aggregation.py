@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrityError, PartitionError, SecureAbortError
 from .models import ParameterVector
-from .wire import fnv1a64, write_jsonl
+from .wire import fnv1a64, pcg64_state, seed_words, write_jsonl
 
 PAD_SALT = 301  # stream tag for pairwise mask material
 
@@ -104,80 +104,6 @@ def fedavg(updates: list[WeightedUpdate]) -> ParameterVector:
 # ---------------------------------------------------------------------------
 
 
-# numpy's SeedSequence hash constants (bit_generator.pyx); they do not
-# depend on the entropy, so every pair's seed words come from one pass of
-# uint32 array arithmetic
-_SS_INIT_A = 0x43B0D7E5
-_SS_MULT_A = 0x931E8875
-_SS_INIT_B = 0x8B51F9DD
-_SS_MULT_B = 0x58F38DED
-_SS_MIX_L = 0xCA01F9DD
-_SS_MIX_R = 0x4973F715
-_SS_POOL = 4
-_U32 = 0xFFFFFFFF
-
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
-_U128 = (1 << 128) - 1
-
-
-def seed_words(seeds: np.ndarray) -> np.ndarray:
-    """np.random.SeedSequence(s).generate_state(4, np.uint64) for every
-    uint64 seed s, one row each.
-
-    A seed below 2**32 is one entropy word and a larger one two; the pool
-    slots past the entropy hash a 0 word either way, so every seed is
-    treated as the two words (low, high) here.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    shift = np.uint32(16)
-    hash_const = _SS_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_A) & _U32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> shift)
-
-    def mix(x, y):
-        value = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
-        return value ^ (value >> shift)
-
-    low = (seeds & np.uint64(_U32)).astype(np.uint32)
-    high = (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros(seeds.shape, dtype=np.uint32)
-    pool = [hashmix(word) for word in (low, high, zero, zero)]
-    for i_src in range(_SS_POOL):
-        for i_dst in range(_SS_POOL):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    # eight uint32 outputs, read as four little-endian uint64 words
-    words = np.zeros((seeds.shape[0], 4), dtype=np.uint64)
-    hash_const = _SS_INIT_B
-    for i in range(8):
-        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_B) & _U32
-        value = value * np.uint32(hash_const)
-        half = (value ^ (value >> shift)).astype(np.uint64)
-        words[:, i // 2] |= half << np.uint64(32 * (i % 2))
-    return words
-
-
-def pcg64_state(words: list[int]) -> dict:
-    """The PCG64 `bit_generator.state` that seeding from SeedSequence state
-    words [w0, w1, w2, w3], as Python ints, gives: PCG's srandom with
-    initstate w0:w1 and initseq w2:w3, as numpy's pcg64_set_seed calls it."""
-    w0, w1, w2, w3 = words
-    inc = ((((w2 << 64) | w3) << 1) | 1) & _U128
-    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _U128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class PadSeeds:
     """The seeding of one secure round's pairwise pads; no pad is drawn.
@@ -224,7 +150,8 @@ def pairwise_pads(client_ids: list[int], round_seed: int) -> PadSeeds:
 
     n = len(ids)
     seeds = np.fromiter(pair_seeds(), dtype=np.uint64, count=n * (n - 1) // 2)
-    return PadSeeds(ids, seed_words(seeds), np.random.Generator(np.random.PCG64(0)))
+    words = seed_words([seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)])
+    return PadSeeds(ids, words, np.random.Generator(np.random.PCG64(0)))
 
 
 def mask_submission(cid: int, accumulators: dict[int, np.ndarray], pads: PadSeeds) -> None:

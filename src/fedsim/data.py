@@ -3,8 +3,14 @@
 Each client draws its own samples from a shared Gaussian-blob generative
 model; heterogeneity comes from per-client class weights (label skew) or
 per-client sample counts (quantity skew). Everything is a pure function of
-its spec and seeds, and each client's stream is independent, so regenerating
-one client never disturbs another.
+its spec and seeds, and each client's streams are independent, so
+regenerating one client never disturbs another.
+
+Shards are built in blocks: clients with one sample count, at most
+BLOCK_ROWS samples together. Each client still draws from its own streams,
+in the same order as alone; the label lookup, normalization and split then
+run once per block on stacked arrays, so a block gives every client the
+bytes it would get on its own. Blocks bound the temporaries of set-up.
 
 Normalization is strictly local: a client z-scores with its own statistics
 and never sees pooled moments.
@@ -12,13 +18,16 @@ and never sees pooled moments.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.random import Generator
 
 from .errors import ConfigError, UnresolvableClassError
 from .models import Dataset
+from .wire import id_streams
 
 MODE_IID = "iid"
 MODE_DIRICHLET = "dirichlet_label_skew"
@@ -31,6 +40,7 @@ AUGMENT_TV_TOLERANCE = 0.05
 AUGMENT_CAP_FACTOR = 10
 AUGMENT_JITTER_FACTOR = 0.1
 _CONSTANT_STD = 1e-12
+BLOCK_ROWS = 1024  # samples per shard-building block; bounds set-up's temporaries
 
 # stream salts keep the independent RNG purposes apart
 _SALT_MEANS = 101
@@ -100,81 +110,98 @@ class ClientShard:
 
 
 def _check_weights(weights, num_classes: int) -> np.ndarray:
+    """`weights` as float64, checked row by row when it is a stack of rows."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (num_classes,):
+    if w.ndim == 0 or w.shape[-1] != num_classes:
         raise ValueError(f"class weights must have length {num_classes}")
     if np.any(w < 0):
         raise ValueError("class weights must be non-negative")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
+    if np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("class weights must sum to 1 within 1e-9")
     return w
 
 
-def collect(
-    spec: SyntheticSpec,
-    client_id: int,
-    class_weights,
-    n_samples: int | None = None,
-) -> Dataset:
-    """Draw one client's raw samples. Deterministic in (spec.seed, client_id)."""
-    w = _check_weights(class_weights, spec.num_classes)
-    n = spec.samples_per_client if n_samples is None else int(n_samples)
-    if n < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng([spec.seed, client_id, _SALT_COLLECT])
-    cum = np.cumsum(w)
-    cum[-1] = 1.0  # guard the rounding tail
-    labels = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
-    feats = spec.class_means[labels] + rng.normal(0.0, spec.noise_sigma, size=(n, spec.input_dim))
-    return Dataset(feats, labels, spec.num_classes)
+def preprocess(feats: np.ndarray) -> np.ndarray:
+    """z-score each column of each (n, d) matrix in a (..., n, d) stack
+    with that matrix's own moments.
 
-
-def preprocess(raw: Dataset) -> Dataset:
-    """z-score each column with the client's own moments.
-
-    Columns without variance pass through untouched. The labels are raw's,
-    so only the finiteness of the scaled features is checked again. Raises
-    ConfigError when a moment leaves float64, which only the data settings
-    can cause.
+    Columns without variance pass through untouched. Raises ConfigError
+    when a raw feature or a moment leaves float64, which only the data
+    settings can cause.
     """
-    feats = raw.features
-    if len(raw) == 0:
-        return raw
+    if not np.isfinite(feats).all():
+        raise ConfigError("data.noise_sigma, data.class_mean_scale: raw features leave float64")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = feats.mean(axis=0)
-        std = feats.std(axis=0)  # population form: matches the unit-variance check
+        mean = feats.mean(axis=-2, keepdims=True)
+        std = feats.std(axis=-2, keepdims=True)  # population form: matches the unit-variance check
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise ConfigError("data.noise_sigma, data.class_mean_scale: feature moments leave float64")
     constant = std <= _CONSTANT_STD
-    safe_std = np.where(constant, 1.0, std)
-    scaled = (feats - mean) / safe_std
-    scaled[:, constant] = feats[:, constant]
-    if not np.isfinite(scaled).all():
-        raise ValueError("features contain non-finite entries")
-    return Dataset._derived(scaled, raw.labels, raw.num_classes)
+    scaled = (feats - mean) / np.where(constant, 1.0, std)
+    np.copyto(scaled, feats, where=constant)
+    return scaled
 
 
-def split_train_test(data: Dataset, seed: int, client_id: int = 0) -> tuple[Dataset, Dataset]:
-    """Seeded 80/20 split; a single-sample set keeps its sample in train.
+def client_streams(seed: int, ids) -> Iterator[tuple[int, Generator, Generator]]:
+    """(cid, collect rng, split rng) for each id in order: the streams of
+    np.random.default_rng([seed, cid, salt]) for the collect and split salts."""
+    collect = id_streams([seed, ids, _SALT_COLLECT])
+    split = id_streams([seed, ids, _SALT_SPLIT])
+    return ((cid, c, s) for (cid, c), (_, s) in zip(collect, split))
 
-    Both halves are row subsets of `data`, so neither is validated again.
-    """
-    n = len(data)
-    if n == 0:
-        return data, data
+
+def _test_size(n: int) -> int:
+    """The test share of an n-sample shard; a single sample stays in train."""
     n_test = int(round(n * TEST_FRACTION))
     if n >= 2 and n_test == 0:
         n_test = 1
-    if n_test >= n:
-        n_test = n - 1
-    rng = np.random.default_rng([seed, client_id, _SALT_SPLIT])
-    order = rng.permutation(n)
-    test_idx = np.sort(order[:n_test])
-    train_idx = np.sort(order[n_test:])
-    return (
-        Dataset._derived(data.features[train_idx], data.labels[train_idx], data.num_classes),
-        Dataset._derived(data.features[test_idx], data.labels[test_idx], data.num_classes),
-    )
+    return min(n_test, n - 1)
+
+
+def build_block(ss: SyntheticSpec, ids, weights, n_samples: int, streams) -> list[ClientShard]:
+    """The shards of clients `ids`, which all hold n_samples samples.
+
+    `streams` yields each client's generators, as client_streams(ss.seed,
+    ids) does; the next len(ids) are taken. Each client draws its labels'
+    uniforms and then its noise from its collect stream, and its 80/20
+    split order from its split stream; everything else runs once for the
+    block. Shards hold read-only views into the block's train and test
+    arrays.
+    """
+    w = _check_weights(weights, ss.num_classes)
+    n = int(n_samples)
+    if n < 1:
+        raise ValueError("n_samples must be >= 1")
+    size, k = len(ids), ss.num_classes
+    u = np.empty((size, n))
+    feats = np.empty((size, n, ss.input_dim))
+    orders = np.empty((size, n), dtype=np.int64)
+    for i, (_, collect, split) in zip(range(size), streams):
+        collect.random(out=u[i])
+        feats[i] = collect.normal(0.0, ss.noise_sigma, size=(n, ss.input_dim))
+        orders[i] = split.permutation(n)
+    cum = np.cumsum(w, axis=-1)
+    cum[:, -1] = 1.0  # guard the rounding tail
+    labels = (cum[:, None, :] <= u[:, :, None]).sum(axis=-1)  # searchsorted, side="right"
+    with np.errstate(over="ignore", invalid="ignore"):  # preprocess names a sum past float64
+        feats += ss.class_means[labels]  # float addition commutes: the bits of means + noise
+    scaled = preprocess(feats)
+    n_test = _test_size(n)
+    rows = np.arange(size)[:, None]
+    train_idx = np.sort(orders[:, n_test:], axis=-1)
+    test_idx = np.sort(orders[:, :n_test], axis=-1)
+    train_x, train_y = scaled[rows, train_idx], labels[rows, train_idx]
+    test_x, test_y = scaled[rows, test_idx], labels[rows, test_idx]
+    hist = np.bincount((train_y + k * rows).ravel(), minlength=size * k).reshape(size, k)
+    return [
+        ClientShard(
+            int(cid),
+            Dataset._derived(train_x[i], train_y[i], k),
+            Dataset._derived(test_x[i], test_y[i], k),
+            tuple(counts),
+        )
+        for i, (cid, counts) in enumerate(zip(ids, hist.tolist()))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -195,28 +222,35 @@ def client_sample_counts(ps: PartitionSpec, ss: SyntheticSpec, n_clients: int) -
     if ps.mode == MODE_QUANTITY:
         rng = np.random.default_rng([ps.seed, _SALT_COUNTS])
         factors = rng.lognormal(0.0, ps.sigma, size=n_clients)
-        counts = np.maximum(
-            MIN_SHARD_SAMPLES, np.rint(ss.samples_per_client * factors).astype(np.int64)
-        )
-        return counts
+        with np.errstate(over="ignore", invalid="ignore"):
+            counts = np.rint(ss.samples_per_client * factors)
+        if not np.all(counts < 2.0**63):  # also false for inf and nan
+            raise ConfigError(
+                "data.partition.sigma, data.samples_per_client: "
+                "a client's sample count leaves int64"
+            )
+        return np.maximum(MIN_SHARD_SAMPLES, counts.astype(np.int64))
     return np.full(n_clients, ss.samples_per_client, dtype=np.int64)
 
 
-def build_shard(ss: SyntheticSpec, client_id: int, weights, n_samples: int) -> ClientShard:
-    raw = collect(ss, client_id, weights, n_samples=n_samples)
-    train, test = split_train_test(preprocess(raw), ss.seed, client_id)
-    hist = np.bincount(train.labels, minlength=ss.num_classes)
-    return ClientShard(client_id, train, test, tuple(int(c) for c in hist))
-
-
 def partition(ps: PartitionSpec, ss: SyntheticSpec, n_clients: int) -> list[ClientShard]:
+    """Every client's shard, built in blocks of clients with one sample count."""
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
     weights = client_class_weights(ps, ss, n_clients)
     counts = client_sample_counts(ps, ss, n_clients)
-    return [
-        build_shard(ss, cid, weights[cid], int(counts[cid])) for cid in range(n_clients)
-    ]
+    order = np.argsort(counts, kind="stable")  # by count, ascending ids within one
+    streams = client_streams(ss.seed, order)
+    shards: list[ClientShard] = [None] * n_clients
+    start = 0
+    while start < n_clients:
+        n = int(counts[order[start]])
+        ids = order[start : start + max(1, BLOCK_ROWS // n)]
+        ids = ids[counts[ids] == n]  # the equal counts lead the sorted slice
+        for shard in build_block(ss, ids, weights[ids], n, streams):
+            shards[shard.client_id] = shard
+        start += len(ids)
+    return shards
 
 
 def make_holdout(ss: SyntheticSpec, n_samples: int, seed: int) -> Dataset:
@@ -228,8 +262,9 @@ def make_holdout(ss: SyntheticSpec, n_samples: int, seed: int) -> Dataset:
         np.arange(1, ss.num_classes + 1) / ss.num_classes, rng.random(n_samples), side="right"
     ).astype(np.int64)
     noise = rng.normal(0.0, ss.noise_sigma, size=(n_samples, ss.input_dim))
-    feats = ss.class_means[labels] + noise
-    return preprocess(Dataset(feats, labels, ss.num_classes))
+    with np.errstate(over="ignore", invalid="ignore"):  # preprocess names a sum past float64
+        feats = ss.class_means[labels] + noise
+    return Dataset._derived(preprocess(feats), labels, ss.num_classes)
 
 
 # ---------------------------------------------------------------------------

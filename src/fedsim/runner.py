@@ -179,12 +179,9 @@ class ExperimentRunner:
         self.monitor_stream = make_holdout(cfg.synthetic, cfg.holdout_n, seed=MONITOR_STREAM_SALT)
 
         self.registry = ClientRegistry()
-        resource = {
-            cid: float(np.random.default_rng([cfg.seed, RESOURCE_SALT, cid]).uniform())
-            for cid in range(cfg.n_clients)
-        }
-        for cid, shard in enumerate(self.shards):
-            self.registry.register(cid, resource[cid], len(shard.train), 0.0)
+        resources = wire.id_streams([cfg.seed, RESOURCE_SALT, np.arange(cfg.n_clients)])
+        for shard, (cid, rng) in zip(self.shards, resources):
+            self.registry.register(cid, float(rng.uniform()), len(shard.train), 0.0)
 
         multitask = cfg.has(FLAG_MULTITASK)
         self.runtimes = {
@@ -316,8 +313,9 @@ class ExperimentRunner:
     def _inject_drift(self, r: int) -> None:
         cfg = self.cfg
         frac = cfg.drift_flip_fraction
-        for cid, shard in enumerate(self.shards):
-            rng = np.random.default_rng([cfg.seed, DRIFT_SALT, cid])
+        # the clients' streams, then the monitor stream's under id n_clients
+        streams = wire.id_streams([cfg.seed, DRIFT_SALT, np.arange(cfg.n_clients + 1)])
+        for shard, (cid, rng) in zip(self.shards, streams):
             train = _flip_labels(shard.train, frac, rng)
             test = _flip_labels(shard.test, frac, rng)
             hist = np.bincount(train.labels, minlength=cfg.arch.num_classes)
@@ -327,7 +325,7 @@ class ExperimentRunner:
             )
             self.shards[cid] = drifted
             self.runtimes[cid].shard = drifted
-        rng = np.random.default_rng([cfg.seed, DRIFT_SALT, cfg.n_clients])
+        _, rng = next(streams)
         self.monitor_stream = _flip_labels(self.monitor_stream, frac, rng)
         self._log({"event": "drift_injected", "round": r, "flip_fraction": frac})
 

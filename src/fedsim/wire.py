@@ -13,7 +13,8 @@ equal inputs produce equal bytes.
 Content hashes are BLAKE2b with an 8-byte digest (CONTENT_HASH) over these
 canonical bytes, rendered as 16 hex digits. Seeds and the run id keep 64-bit
 FNV-1a: seeds feed the random generators and the run id names a run's
-directory, so neither may change.
+directory, so neither may change. seed_words and id_streams seed many
+generators at once, with the bytes np.random.default_rng gives each.
 
 Every .jsonl artifact goes through write_jsonl: one strict (RFC 8259) JSON
 object per line, with sorted keys.
@@ -25,6 +26,7 @@ import hashlib
 import json
 import math
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +97,134 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _U64
     return h
+
+
+# numpy's SeedSequence hash constants (bit_generator.pyx); they do not
+# depend on the entropy, so the seed words of many entropy lists come from
+# one pass of uint32 array arithmetic
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = 0xCA01F9DD
+_SS_MIX_R = 0x4973F715
+_SS_POOL = 4
+_U32 = 0xFFFFFFFF
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+_U128 = (1 << 128) - 1
+
+
+def _int_words(value: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a non-negative int: least
+    significant first, as few as hold it, and one 0 word for 0."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("seed entropy must be non-negative")
+    words = [value & _U32]
+    while value > _U32:
+        value >>= 32
+        words.append(value & _U32)
+    return words
+
+
+def seed_words(entropy: list) -> np.ndarray:
+    """np.random.SeedSequence(e).generate_state(4, np.uint64) for every
+    entropy list e that `entropy` stands for, one row each.
+
+    Each int in `entropy` is shared by every row and gives its own minimal
+    uint32 words, as SeedSequence coerces an int. Each 1-D array (an id
+    column) gives one word per row, so its values must lie in [0, 2**32).
+    Row i stands for `entropy` with every array replaced by its i-th value:
+    [seed, ids, salt] gives default_rng([seed, id, salt]) for each id.
+    Pool slots past the entropy hash a 0 word, so an entropy of at most four
+    words equals its zero-padded form: a uint64 seed s is the two columns
+    (s & 0xFFFFFFFF, s >> 32) whether or not s needs its high word. Words
+    past the pool are mixed in afterwards, as SeedSequence.mix_entropy does.
+    """
+    parts = []
+    rows = None
+    for part in entropy:
+        if np.ndim(part) == 0:
+            parts.extend(_int_words(part))
+            continue
+        column = np.asarray(part)
+        if column.ndim != 1 or (rows is not None and len(column) != rows):
+            raise ValueError("id columns of seed entropy must be 1-D and of one length")
+        if len(column) and (column.min() < 0 or column.max() > _U32):
+            raise ValueError("an id in seed entropy must lie in [0, 2**32)")
+        rows = len(column)
+        parts.append(column)
+    rows = 1 if rows is None else rows
+    words = [np.full(rows, part, dtype=np.uint32) for part in parts]
+    shift = np.uint32(16)
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _U32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        value = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return value ^ (value >> shift)
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_SS_POOL)]
+    for i_src in range(_SS_POOL):
+        for i_dst in range(_SS_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[_SS_POOL:]:
+        for i_dst in range(_SS_POOL):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    # eight uint32 outputs, read as four little-endian uint64 words
+    state = np.zeros((rows, 4), dtype=np.uint64)
+    hash_const = _SS_INIT_B
+    for i in range(8):
+        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & _U32
+        value = value * np.uint32(hash_const)
+        half = (value ^ (value >> shift)).astype(np.uint64)
+        state[:, i // 2] |= half << np.uint64(32 * (i % 2))
+    return state
+
+
+def pcg64_state(words: list[int]) -> dict:
+    """The PCG64 `bit_generator.state` that seeding from SeedSequence state
+    words [w0, w1, w2, w3], as Python ints, gives: PCG's srandom with
+    initstate w0:w1 and initseq w2:w3, as numpy's pcg64_set_seed calls it."""
+    w0, w1, w2, w3 = words
+    inc = ((((w2 << 64) | w3) << 1) | 1) & _U128
+    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _U128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def id_streams(entropy: list) -> Iterator[tuple[int, np.random.Generator]]:
+    """(id, rng) for each id of the one id column in `entropy`, in order,
+    where rng draws as np.random.default_rng(entropy with that id in the
+    column's place) does.
+
+    rng is one Generator, reseeded before each pair is handed out, so a
+    stream is drawn from before the next pair is taken.
+    """
+    (ids,) = (part for part in entropy if np.ndim(part))
+    rows = seed_words(entropy).tolist()
+    rng = np.random.Generator(np.random.PCG64(0))
+
+    def streams():
+        for cid, row in zip(np.asarray(ids).tolist(), rows):
+            rng.bit_generator.state = pcg64_state(row)
+            yield cid, rng
+
+    return streams()
 
 
 def content_hash(data: bytes) -> str:

@@ -26,19 +26,24 @@ from fedsim.aggregation import (
     mask_submission,
     node_mean,
     pairwise_pads,
-    pcg64_state,
     record_from_json,
     record_to_json,
     run_gossip,
     secure_sum,
-    seed_words,
     staleness_factor,
 )
 from fedsim.config import parse_config
 from fedsim.errors import ConfigError, IntegrityError, PartitionError, SecureAbortError
 from fedsim.models import ParameterVector
 from fedsim.runner import run_experiment
-from fedsim.wire import K_UPDATE_DENSE, fnv1a64, params_hash
+from fedsim.wire import (
+    K_UPDATE_DENSE,
+    fnv1a64,
+    id_streams,
+    params_hash,
+    pcg64_state,
+    seed_words,
+)
 
 
 def _oracle_weighted_mean(triples):
@@ -240,11 +245,17 @@ def _reference_masked(updates, round_seed):
 EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1]
 
 
+def _uint64_seed_words(seeds):
+    """seed_words of uint64 seeds, each as its (low, high) word columns."""
+    seeds = np.array(seeds, dtype=np.uint64)
+    return seed_words([seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)])
+
+
 def test_seed_words_equal_seed_sequence_state():
     rng = np.random.default_rng(2000)
     seeds = EDGE_SEEDS + rng.integers(0, 2**64, size=2000, dtype=np.uint64).tolist()
     want = np.stack([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
-    got = seed_words(np.array(seeds, dtype=np.uint64))
+    got = _uint64_seed_words(seeds)
     assert got.dtype == np.uint64
     assert np.array_equal(got, want)
 
@@ -252,10 +263,56 @@ def test_seed_words_equal_seed_sequence_state():
 def test_pad_drawn_from_seed_words_equals_default_rng():
     seeds = EDGE_SEEDS + [_reference_pad_seed(7, 3, 11)]
     rng = np.random.Generator(np.random.PCG64(0))
-    for seed, words in zip(seeds, seed_words(np.array(seeds, dtype=np.uint64)).tolist()):
+    for seed, words in zip(seeds, _uint64_seed_words(seeds).tolist()):
         rng.bit_generator.state = pcg64_state(words)
         drawn = rng.uniform(-1.0, 1.0, size=330)
         assert np.array_equal(drawn, np.random.default_rng(seed).uniform(-1.0, 1.0, size=330))
+
+
+# entropy lists as the callers build them, and two past the 4-word pool;
+# the seed gives one word below 2**32 and two from there to 2**64
+ENTROPY_SHAPES = {
+    "seed-id-salt": lambda seed, ids: [seed, ids, 102],  # 3 or 4 words
+    "seed-salt-id": lambda seed, ids: [seed, 403, ids],  # 3 or 4 words
+    "five-words": lambda seed, ids: [seed, 2**33, ids, 0],  # 5 or 6 words
+    "six-words": lambda seed, ids: [seed, ids, 2**64 + 1, 7],  # 6 or 7 words
+}
+LIST_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + np.random.default_rng(2001).integers(
+    0, 2**64, size=2000, dtype=np.uint64
+).tolist()
+EDGE_IDS = np.array([0, 2**32 - 1, 5], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("shape", list(ENTROPY_SHAPES))
+def test_seed_words_of_list_entropy_equal_seed_sequence_state(shape):
+    build = ENTROPY_SHAPES[shape]
+    for seed in LIST_SEEDS:
+        got = seed_words(build(seed, EDGE_IDS))
+        want = np.stack([
+            np.random.SeedSequence(build(seed, cid)).generate_state(4, np.uint64)
+            for cid in EDGE_IDS.tolist()
+        ])
+        assert np.array_equal(got, want), (seed, shape)
+
+
+@pytest.mark.parametrize("shape", list(ENTROPY_SHAPES))
+def test_id_streams_draw_as_default_rng(shape):
+    build = ENTROPY_SHAPES[shape]
+    for seed in LIST_SEEDS[:40]:
+        ids = []
+        for cid, rng in id_streams(build(seed, EDGE_IDS)):
+            ids.append(cid)
+            want = np.random.default_rng(build(seed, cid))
+            assert np.array_equal(rng.random(3), want.random(3)), (seed, shape, cid)
+            assert np.array_equal(rng.normal(0.0, 2.0, 5), want.normal(0.0, 2.0, 5))
+        assert ids == EDGE_IDS.tolist()
+
+
+def test_seed_words_reject_an_id_past_one_word():
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        seed_words([1, np.array([0, 2**32], dtype=np.uint64), 102])
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        id_streams([1, 403, np.array([2**32])])
 
 
 @pytest.mark.parametrize("n", [2, 3, 100])

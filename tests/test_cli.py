@@ -71,6 +71,17 @@ def test_overflowing_feature_moments_exit_two(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key", ["class_mean_scale", "noise_sigma"])
+def test_raw_features_past_float64_exit_two(tmp_path, capsys, key):
+    cfg = _write_config(tmp_path, {"n_clients": 3, "rounds": 2, "data": {key: 1e308}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: data.noise_sigma, data.class_mean_scale" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_config_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -1,29 +1,43 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from fedsim.data import (
+    BLOCK_ROWS,
     ClientShard,
     PartitionSpec,
     SyntheticSpec,
     augment_balance,
-    build_shard,
+    build_block,
     client_class_weights,
     client_sample_counts,
-    collect,
+    client_streams,
     label_distribution,
     make_holdout,
     partition,
     preprocess,
-    split_train_test,
 )
-from fedsim.errors import UnresolvableClassError
+from fedsim.errors import ConfigError, UnresolvableClassError
 from fedsim.models import Dataset
 
 SS = SyntheticSpec(
     num_classes=3, input_dim=4, class_mean_scale=2.0, noise_sigma=0.5,
     samples_per_client=120, seed=7,
 )
+
+
+def _one(ss, cid, weights, n_samples=None):
+    """The shard of client `cid` alone, from a block of one."""
+    n = ss.samples_per_client if n_samples is None else n_samples
+    (shard,) = build_block(ss, [cid], [weights], n, client_streams(ss.seed, [cid]))
+    return shard
+
+
+def _labels(shard):
+    return np.concatenate([shard.train.labels, shard.test.labels])
 
 
 # ---------------------------------------------------------------------------
@@ -33,35 +47,38 @@ SS = SyntheticSpec(
 
 def test_collect_degenerate_weights_single_class():
     ss = SyntheticSpec(2, 3, 1.0, 0.5, 50, seed=1)
-    data = collect(ss, 0, [1.0, 0.0])
-    assert np.all(data.labels == 0)
+    assert np.all(_labels(_one(ss, 0, [1.0, 0.0])) == 0)
 
 
 def test_collect_uniform_frequencies_within_binomial_bound():
     n = 10_000
-    data = collect(SS, 0, [1 / 3] * 3, n_samples=n)
+    labels = _labels(_one(SS, 0, [1 / 3] * 3, n_samples=n))
     p = 1 / 3
     bound = 3 * np.sqrt(p * (1 - p) / n)
-    freqs = np.bincount(data.labels, minlength=3) / n
+    freqs = np.bincount(labels, minlength=3) / n
     assert np.all(np.abs(freqs - p) <= bound)
 
 
 def test_collect_deterministic_and_client_independent():
-    a = collect(SS, 3, [1 / 3] * 3)
-    b = collect(SS, 3, [1 / 3] * 3)
-    c = collect(SS, 4, [1 / 3] * 3)
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.labels, b.labels)
-    assert not np.array_equal(a.features, c.features)
+    a = _one(SS, 3, [1 / 3] * 3)
+    b = _one(SS, 3, [1 / 3] * 3)
+    c = _one(SS, 4, [1 / 3] * 3)
+    assert np.array_equal(a.train.features, b.train.features)
+    assert np.array_equal(a.train.labels, b.train.labels)
+    assert not np.array_equal(a.train.features, c.train.features)
 
 
 def test_collect_rejects_bad_weights():
     with pytest.raises(ValueError, match="non-negative"):
-        collect(SS, 0, [1.2, -0.2, 0.0])
+        _one(SS, 0, [1.2, -0.2, 0.0])
     with pytest.raises(ValueError, match="sum to 1"):
-        collect(SS, 0, [0.5, 0.1, 0.1])
+        _one(SS, 0, [0.5, 0.1, 0.1])
     with pytest.raises(ValueError, match="length"):
-        collect(SS, 0, [0.5, 0.5])
+        _one(SS, 0, [0.5, 0.5])
+    # one bad row fails the whole block
+    rows = [[1 / 3] * 3, [0.5, 0.1, 0.1]]
+    with pytest.raises(ValueError, match="sum to 1"):
+        build_block(SS, [0, 1], rows, 12, client_streams(SS.seed, [0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -73,21 +90,23 @@ def test_preprocess_zscores_and_flags_constant_columns():
     rng = np.random.default_rng(2)
     feats = rng.normal(5.0, 3.0, size=(200, 3))
     feats[:, 1] = 42.0  # constant column
-    raw = Dataset(feats, rng.integers(0, 2, size=200), 2)
-    scaled = preprocess(raw)
+    scaled = preprocess(feats)
     # constant column passes through untouched
-    assert np.array_equal(scaled.features[:, 1], feats[:, 1])
+    assert np.array_equal(scaled[:, 1], feats[:, 1])
     for j in (0, 2):
-        assert abs(scaled.features[:, j].mean()) <= 1e-9
-        assert abs(scaled.features[:, j].var() - 1.0) <= 1e-9
+        assert abs(scaled[:, j].mean()) <= 1e-9
+        assert abs(scaled[:, j].var() - 1.0) <= 1e-9
+    # a stack z-scores each matrix with its own moments
+    stack = np.stack([feats, 2.0 * feats + 1.0])
+    assert np.array_equal(preprocess(stack)[0], scaled)
+    assert np.array_equal(preprocess(stack)[1], preprocess(stack[1]))
 
 
 def test_preprocess_idempotent_within_tolerance():
     rng = np.random.default_rng(3)
-    raw = Dataset(rng.normal(2.0, 4.0, size=(150, 4)), rng.integers(0, 2, size=150), 2)
-    once = preprocess(raw)
+    once = preprocess(rng.normal(2.0, 4.0, size=(150, 4)))
     twice = preprocess(once)
-    assert np.max(np.abs(twice.features - once.features)) <= 1e-9
+    assert np.max(np.abs(twice - once)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +155,36 @@ def test_quantity_skew_counts_vary_and_respect_minimum():
         assert len(shard.train) + len(shard.test) == count
 
 
+def test_quantity_skew_counts_past_int64_are_a_named_config_error():
+    # lognormal factors of sigma 1000 reach inf; a cast would make them int64's minimum
+    ps = PartitionSpec("quantity_skew", sigma=1000.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"data\.partition\.sigma, data\.samples_per_client"):
+            client_sample_counts(ps, SS, 4)
+
+
 def test_shard_regeneration_is_client_local():
     ps = PartitionSpec("dirichlet_label_skew", alpha=0.5, seed=11)
     shards = partition(ps, SS, 5)
     weights = client_class_weights(ps, SS, 5)
     counts = client_sample_counts(ps, SS, 5)
     # rebuilding client 2 alone reproduces its shard bit for bit
-    alone = build_shard(SS, 2, weights[2], int(counts[2]))
+    alone = _one(SS, 2, weights[2], int(counts[2]))
     assert np.array_equal(alone.train.features, shards[2].train.features)
     assert np.array_equal(alone.test.features, shards[2].test.features)
     assert alone.label_histogram == shards[2].label_histogram
 
 
 def _reference_shard(ss, client_id, weights, n_samples):
-    """build_shard with every intermediate set built as a validated Dataset."""
-    raw = collect(ss, client_id, weights, n_samples=n_samples)
+    """One client's shard drawn from its own default_rng streams, with every
+    intermediate set built as a validated Dataset."""
+    rng = np.random.default_rng([ss.seed, client_id, 102])
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    labels = np.searchsorted(cum, rng.random(n_samples), side="right")
+    noise = rng.normal(0.0, ss.noise_sigma, size=(n_samples, ss.input_dim))
+    raw = Dataset(ss.class_means[labels] + noise, labels, ss.num_classes)
     feats = raw.features
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
@@ -171,6 +205,15 @@ def _reference_shard(ss, client_id, weights, n_samples):
     return train, test
 
 
+# (class_mean_scale, noise_sigma, samples_per_client, n_clients): one block;
+# blocks of BLOCK_ROWS // 300 clients and a remainder; every column constant
+REFERENCE_CASES = [
+    (2.0, 0.5, 12, 40),
+    (2.0, 0.5, 300, 2 * (BLOCK_ROWS // 300) + 1),
+    (0.0, 0.0, 12, 7),
+]
+
+
 @pytest.mark.parametrize(
     "ps",
     [
@@ -181,22 +224,44 @@ def _reference_shard(ss, client_id, weights, n_samples):
     ids=lambda ps: ps.mode,
 )
 def test_partition_equals_validated_reference(ps):
-    ss = SyntheticSpec(3, 4, 2.0, 0.5, samples_per_client=12, seed=9)
-    shards = partition(ps, ss, 40)
-    weights = client_class_weights(ps, ss, 40)
-    counts = client_sample_counts(ps, ss, 40)
-    for cid, shard in enumerate(shards):
-        train, test = _reference_shard(ss, cid, weights[cid], int(counts[cid]))
-        for got, want in ((shard.train, train), (shard.test, test)):
-            assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
-            assert np.array_equal(got.features, want.features)
-            assert np.array_equal(got.labels, want.labels)
-            assert got.num_classes == want.num_classes
-            assert not got.features.flags.writeable and not got.labels.flags.writeable
+    for seed in (9, 0, 2**32 - 1, 2**32, 2**64 - 1):
+        for scale, sigma, per_client, n_clients in REFERENCE_CASES:
+            ss = SyntheticSpec(3, 4, scale, sigma, samples_per_client=per_client, seed=seed)
+            shards = partition(ps, ss, n_clients)
+            weights = client_class_weights(ps, ss, n_clients)
+            counts = client_sample_counts(ps, ss, n_clients)
+            assert [s.client_id for s in shards] == list(range(n_clients))
+            for cid, shard in enumerate(shards):
+                train, test = _reference_shard(ss, cid, weights[cid], int(counts[cid]))
+                hist = np.bincount(train.labels, minlength=3)
+                assert shard.label_histogram == tuple(hist.tolist())
+                for got, want in ((shard.train, train), (shard.test, test)):
+                    assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
+                    assert np.array_equal(got.features, want.features)
+                    assert np.array_equal(got.labels, want.labels)
+                    assert got.num_classes == want.num_classes
+                    assert not got.features.flags.writeable and not got.labels.flags.writeable
+
+
+def test_partition_memory_is_bounded_by_blocks():
+    # 2000 clients of 40 samples in one block would hold ~45 MiB of temporaries
+    ss = SyntheticSpec(10, 32, 1.0, 2.0, 40, seed=1)
+    ps = PartitionSpec("dirichlet_label_skew", alpha=0.5, seed=1)
+    ss.class_means  # cached on the spec; not a partition temporary
+    tracemalloc.start()
+    try:
+        shards = partition(ps, ss, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(
+        a.nbytes for s in shards for ds in (s.train, s.test) for a in (ds.features, ds.labels)
+    )
+    assert peak - held <= 8 * 2**20
 
 
 def test_split_sizes_and_histogram():
-    shard = build_shard(SS, 0, [1 / 3] * 3, 120)
+    shard = _one(SS, 0, [1 / 3] * 3, 120)
     assert len(shard.test) == 24
     assert len(shard.train) == 96
     hist = np.bincount(shard.train.labels, minlength=3)
@@ -204,9 +269,8 @@ def test_split_sizes_and_histogram():
 
 
 def test_split_single_sample_keeps_train():
-    data = Dataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
-    train, test = split_train_test(data, seed=0)
-    assert len(train) == 1 and len(test) == 0
+    shard = _one(SS, 0, [1 / 3] * 3, 1)
+    assert len(shard.train) == 1 and len(shard.test) == 0
 
 
 # ---------------------------------------------------------------------------

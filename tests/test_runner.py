@@ -108,6 +108,32 @@ def test_feature_moments_past_float64_are_a_named_config_error():
             ExperimentRunner(parse_config(HUGE_NOISE))
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [["class_mean_scale"], ["noise_sigma"], ["class_mean_scale", "noise_sigma"]],
+    ids="+".join,
+)
+def test_raw_features_past_float64_are_a_named_config_error(keys):
+    # the class means, the noise or their sum leave float64 before any moment is taken
+    raw = {"n_clients": 3, "rounds": 2, "data": dict.fromkeys(keys, 1e308)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"data\.noise_sigma, data\.class_mean_scale"):
+            ExperimentRunner(parse_config(raw))
+
+
+def test_quantity_skew_counts_past_int64_stop_the_run():
+    raw = {
+        "n_clients": 4,
+        "rounds": 1,
+        "data": {"partition": {"mode": "quantity_skew", "sigma": 1000}},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"data\.partition\.sigma, data\.samples_per_client"):
+            ExperimentRunner(parse_config(raw))
+
+
 def _merge_overflowing_from_wave(wave):
     """An async merge that leaves float64 range from `wave` on, as a merge of
     two huge updates that pull in opposite directions does."""
