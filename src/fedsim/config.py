@@ -18,10 +18,10 @@ from pathlib import Path
 
 from .aggregation import MODE_ASYNC, MODE_FEDAVG, MODE_HIERARCHICAL, MODE_SECURE
 from .client import CompressionSpec, GatePolicy
-from .data import MODE_IID, PARTITION_MODES, PartitionSpec, SyntheticSpec
+from .data import MODE_IID, PARTITION_MODES, PartitionSpec, SyntheticSpec, _check_weights
 from .errors import ConfigError
 from .models import _MAX_SEED, KIND_LOGISTIC, KIND_MLP, MODEL_KINDS, ArchDescriptor, Hyperparameters
-from .monitoring import DEFAULT_BAND, DEFAULT_COOLDOWN, DEFAULT_WINDOW, DeployPolicy
+from .monitoring import DEFAULT_COOLDOWN, DEFAULT_WINDOW, DeployPolicy
 from .orchestrator import (
     SELECTION_STRATEGIES,
     STRATEGY_TOP_ACCURACY,
@@ -114,12 +114,6 @@ def _choice(*choices: str):
     return read
 
 
-def _bool(value, path: str, known=None) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false")
-    return value
-
-
 def _optional(read):
     """null is a legal value and stays null."""
     return lambda value, path, known: None if value is None else read(value, path, known)
@@ -196,7 +190,12 @@ def _class_weights(value, path: str, known) -> list[float]:
     if not isinstance(value, list) or len(value) != n:
         raise ConfigError(f"{path}: expected a list of {n} class weights")
     weight = _float(minimum=0.0)
-    return [weight(w, f"{path}[{i}]") for i, w in enumerate(value)]
+    weights = [weight(w, f"{path}[{i}]") for i, w in enumerate(value)]
+    try:
+        _check_weights(weights, n)  # the rule set-up applies
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    return weights
 
 
 def _check_keys(raw, path: str, table: dict) -> None:
@@ -279,7 +278,11 @@ _DATA = {
 _NET = {
     "latency_ms_min": (_float(), 10.0),
     "latency_ms_max": (_float(), 100.0),
-    "dropout_prob": (_float(), 0.05),
+    # gossip links are lossless, so a ring drops nothing
+    "dropout_prob": (
+        _float(),
+        lambda known: 0.0 if known["aggregation_mode"] == MODE_DECENTRALISED else 0.05,
+    ),
     "bandwidth_bytes_per_s": (_optional(_float()), None),
     "seed": (_int(minimum=0), lambda known: known["seed"]),  # the master seed
 }
@@ -318,7 +321,6 @@ _MONITOR = {
     "window": (_int(minimum=1), DEFAULT_WINDOW),
     "threshold": (_float(), 0.0),
     "cooldown_rounds": (_int(minimum=0), DEFAULT_COOLDOWN),
-    "band": (_float(minimum=0.0), DEFAULT_BAND),
     "drift_round": (_optional(_int(minimum=0)), None),
     "drift_flip_fraction": (_float(minimum=0.0, maximum=1.0), 0.3),
 }
@@ -338,7 +340,6 @@ _CONFIG = {
     "rounds": (_int(minimum=1), 5),
     "fraction_per_round": (_UNIT_FRACTION, 1.0),
     "aggregation_mode": (_choice(*AGGREGATION_MODES), MODE_FEDAVG),
-    "secure_masking": (_bool, lambda known: known["aggregation_mode"] == MODE_SECURE),
     "init_mode": (_choice("zeros", "seeded_uniform"), "zeros"),
     "n_clients": (_int(minimum=1), 4),
     "optional_components": (_flags, []),
@@ -382,7 +383,6 @@ class ExperimentConfig:
     rounds: int
     fraction: float
     aggregation_mode: str
-    secure_masking: bool
     init_mode: str
     n_clients: int
     seed: int
@@ -406,7 +406,6 @@ class ExperimentConfig:
     monitor_window: int
     monitor_threshold: float
     monitor_cooldown: int
-    monitor_band: float
     drift_round: int | None
     drift_flip_fraction: float
     incentive_rate: float
@@ -425,9 +424,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     """
     values = _section(raw, "", _CONFIG, {"seed_override": seed_override})
     mode = values["aggregation_mode"]
-    secure_masking = values["secure_masking"]
-    if mode == MODE_SECURE and not secure_masking:
-        raise ConfigError("secure_masking: cannot be false when aggregation_mode is secure")
     canonical = {key: None if isinstance(v, _Off) else v for key, v in values.items()}
 
     seed = values["seed"]
@@ -449,18 +445,28 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
 
     # --- cross-field conflicts, reported together
     conflicts = []
-    if secure_masking and mode == MODE_DECENTRALISED:
-        conflicts.append("decentralised aggregation forbids secure masking")
-    if secure_masking and mode == MODE_ASYNC:
-        conflicts.append("async aggregation forbids secure masking (pads need a simultaneous round)")
-    if secure_masking and mode == MODE_HIERARCHICAL:
-        conflicts.append("hierarchical aggregation forbids secure masking")
-    if secure_masking and FLAG_COMPRESSOR in flags:
-        conflicts.append("secure masking forbids the compressor component (masked sums are dense)")
-    if secure_masking and FLAG_DEPLOYMENT_SELECTOR in flags:
+    n_clients = values["n_clients"]
+    min_updates = values["round"]["min_updates"]
+    if mode == MODE_SECURE and FLAG_COMPRESSOR in flags:
         conflicts.append(
-            "secure masking forbids the deployment_selector component "
+            "secure aggregation forbids the compressor component (masked sums are dense)"
+        )
+    if mode == MODE_SECURE and FLAG_DEPLOYMENT_SELECTOR in flags:
+        conflicts.append(
+            "secure aggregation forbids the deployment_selector component "
             "(per-cluster models need unmasked updates)"
+        )
+    if mode == MODE_SECURE and math.ceil(values["fraction_per_round"] * n_clients) < 2:
+        conflicts.append(
+            "secure aggregation needs 2 or more clients a round "
+            "(ceil(fraction_per_round * n_clients) >= 2)"
+        )
+    if mode == MODE_DECENTRALISED and n_clients < 2:
+        conflicts.append("decentralised aggregation needs n_clients >= 2 (a ring)")
+    if mode == MODE_DECENTRALISED and values["net"]["dropout_prob"] != 0.0:
+        conflicts.append(
+            "decentralised aggregation forbids a net.dropout_prob above 0 "
+            "(gossip links are lossless)"
         )
     if FLAG_MULTITASK in flags and arch.kind != KIND_MLP:
         conflicts.append("the multitask component requires an mlp arch")
@@ -472,6 +478,11 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         conflicts.append("decentralised aggregation forbids the upload gate (every node gossips)")
     if FLAG_DEPLOYMENT_SELECTOR in flags and FLAG_CLUSTER not in flags:
         conflicts.append("the deployment_selector component requires the cluster component")
+    if FLAG_CLUSTER in flags and FLAG_DEPLOYMENT_SELECTOR not in flags:
+        conflicts.append(
+            "the cluster component requires the deployment_selector component "
+            "(nothing else reads the clusters)"
+        )
     if FLAG_DEPLOYMENT_SELECTOR in flags and mode in (MODE_ASYNC, MODE_DECENTRALISED):
         conflicts.append("the deployment_selector component requires a synchronous round structure")
     if selection != SelectionCriteria() and FLAG_SELECTOR not in flags:
@@ -485,12 +496,16 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     custom_round = values["round"] != _section({}, "round", _ROUND, {})
     if custom_round and mode in (MODE_ASYNC, MODE_DECENTRALISED):
         conflicts.append("round settings require a synchronous aggregation mode")
-    if values["round"]["min_updates"] != 1 and secure_masking:
-        conflicts.append("secure masking forbids round.min_updates (it needs every masked update)")
+    if min_updates != 1 and mode == MODE_SECURE:
+        conflicts.append("secure aggregation forbids round.min_updates (it needs every update)")
+    if min_updates > n_clients:
+        conflicts.append("round.min_updates cannot exceed n_clients")
     if monitor["drift_round"] is not None and monitor["drift_round"] >= values["rounds"]:
         conflicts.append("monitor.drift_round must fall inside the run's rounds")
-    if FLAG_CLUSTER in flags and cluster["k"] > values["n_clients"]:
+    if FLAG_CLUSTER in flags and cluster["k"] > n_clients:
         conflicts.append("cluster.k cannot exceed n_clients")
+    if data["augment_target"] is not None and FLAG_HETEROGENEOUS not in flags:
+        conflicts.append("data.augment_target requires the heterogeneous_handler component")
     if conflicts:
         raise ConfigError("; ".join(conflicts))
 
@@ -503,9 +518,8 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         rounds=values["rounds"],
         fraction=values["fraction_per_round"],
         aggregation_mode=mode,
-        secure_masking=secure_masking,
         init_mode=values["init_mode"],
-        n_clients=values["n_clients"],
+        n_clients=n_clients,
         seed=seed,
         flags=flags,
         selection=selection,
@@ -515,7 +529,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         augment_target=None if augment_target is None else tuple(augment_target),
         net=net,
         deadline_s=values["round"]["deadline_s"],
-        min_updates=values["round"]["min_updates"],
+        min_updates=min_updates,
         async_alpha0=values["async"]["alpha0"],
         async_decay=values["async"]["decay"],
         async_round_interval_s=values["async"]["round_interval_s"],
@@ -527,7 +541,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         monitor_window=monitor["window"],
         monitor_threshold=monitor["threshold"],
         monitor_cooldown=monitor["cooldown_rounds"],
-        monitor_band=monitor["band"],
         drift_round=monitor["drift_round"],
         drift_flip_fraction=monitor["drift_flip_fraction"],
         incentive_rate=values["incentives"]["rate_per_round"],

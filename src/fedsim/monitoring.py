@@ -18,11 +18,9 @@ DECISION_REJECT = "reject"
 
 ACTION_NONE = "none"
 ACTION_FINE_TUNE = "fine_tune"
-ACTION_NEW_JOB = "new_job"
 
 DEFAULT_WINDOW = 5
 DEFAULT_COOLDOWN = 5
-DEFAULT_BAND = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +193,6 @@ class MonitorState:
     window_size: int = DEFAULT_WINDOW
     threshold: float = 0.0
     cooldown_rounds: int = DEFAULT_COOLDOWN
-    band: float = DEFAULT_BAND
     window: tuple[float, ...] = ()
     last_trigger_round: int | None = None
 
@@ -204,8 +201,6 @@ class MonitorState:
             raise ValueError("window_size must be >= 1")
         if self.cooldown_rounds < 0:
             raise ValueError("cooldown_rounds must be >= 0")
-        if self.band < 0.0:
-            raise ValueError("band must be >= 0")
         if len(self.window) > self.window_size:
             raise ValueError("window overfull")
 
@@ -216,9 +211,8 @@ def monitor_observe(
     """Push one accuracy sample and decide whether to raise a trigger.
 
     Fires only on a full window whose mean falls below the threshold,
-    and not again until the cooldown has passed.  A shallow drop (mean
-    within the band below threshold) asks for fine-tuning; a deep one
-    asks for a fresh job.
+    and not again until the cooldown has passed. A trigger asks for
+    fine-tuning: the next round selects every active client.
     """
     window = (state.window + (float(deployed_accuracy),))[-state.window_size :]
     action = ACTION_NONE
@@ -227,16 +221,12 @@ def monitor_observe(
         mean = seq_sum(window) / state.window_size
         quiet = last is None or (round_index - last) > state.cooldown_rounds
         if mean < state.threshold and quiet:
-            if mean >= state.threshold - state.band:
-                action = ACTION_FINE_TUNE
-            else:
-                action = ACTION_NEW_JOB
+            action = ACTION_FINE_TUNE
             last = round_index
     new_state = MonitorState(
         window_size=state.window_size,
         threshold=state.threshold,
         cooldown_rounds=state.cooldown_rounds,
-        band=state.band,
         window=window,
         last_trigger_round=last,
     )

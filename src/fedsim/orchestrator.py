@@ -294,13 +294,11 @@ def cluster_clients(
 # ---------------------------------------------------------------------------
 
 
-def create_job(
-    arch: ArchDescriptor, hp: Hyperparameters, init_mode: str, job_id: str
-) -> tuple[str, ModelPackage]:
+def create_job(arch: ArchDescriptor, hp: Hyperparameters, init_mode: str) -> ModelPackage:
     """Mint the initial broadcastable model for a training job.
 
     The package carries hyperparameters alongside the parameters so a
     client needs nothing else to start training.
     """
     params = init_params(arch, init_mode, seed=hp.seed)
-    return job_id, ModelPackage(ROOT_VERSION, params, arch, hp)
+    return ModelPackage(ROOT_VERSION, params, arch, hp)

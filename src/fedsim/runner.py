@@ -101,7 +101,6 @@ from .models import (
     unpack,
 )
 from .monitoring import (
-    ACTION_FINE_TUNE,
     ACTION_NONE,
     DECISION_DEPLOY,
     DeploymentSelector,
@@ -197,7 +196,7 @@ class ExperimentRunner:
         # the length of the shared body an update covers; None: the whole vector
         self.body_len = cfg.arch.shared_parameter_count if multitask else None
 
-        _, pkg = create_job(cfg.arch, cfg.hp, cfg.init_mode, job_id=cfg.run_id)
+        pkg = create_job(cfg.arch, cfg.hp, cfg.init_mode)
         self.ledger = VersionLedger()
         # content hash -> sha256 of the blob archived under it, which is enough
         # to catch a second blob with the same hash; the blob itself goes to
@@ -231,7 +230,6 @@ class ExperimentRunner:
             window_size=cfg.monitor_window,
             threshold=cfg.monitor_threshold,
             cooldown_rounds=cfg.monitor_cooldown,
-            band=cfg.monitor_band,
         )
         self._monitor_params: ParameterVector | None = None
         self.accounts: dict = {}
@@ -273,9 +271,9 @@ class ExperimentRunner:
     def _log(self, row: dict) -> None:
         self.events.append(row)
 
-    def _send(self, label, net, sender, receiver, nbytes, sent_at, round_index):
+    def _send(self, label, sender, receiver, nbytes, sent_at, round_index):
         self._msg_seq += 1
-        env = send(net, sender, receiver, nbytes, sent_at, self._msg_seq)
+        env = send(self.cfg.net, sender, receiver, nbytes, sent_at, self._msg_seq)
         direction = "bytes_down" if sender == wire.SERVER_SENDER else "bytes_up"
         self._tally[round_index][direction] += nbytes
         if env.delivered_at is not None and env.delivered_at > self._round_max_time:
@@ -475,8 +473,7 @@ class ExperimentRunner:
             if action != ACTION_NONE:
                 triggers = 1
                 self._log({"event": "trigger", "round": r, "action": action})
-                if action == ACTION_FINE_TUNE:
-                    self._boost_next = True
+                self._boost_next = True
         self.metrics.append(
             {
                 "round": r,
@@ -511,7 +508,7 @@ class ExperimentRunner:
         delivered_at) for each one it reaches."""
         size = wire.broadcast_message_size(len(pkg.params))
         for cid in selected:
-            env = self._send("broadcast", self.cfg.net, wire.SERVER_SENDER, cid, size, sent_at, r)
+            env = self._send("broadcast", wire.SERVER_SENDER, cid, size, sent_at, r)
             if env.delivered_at is not None:
                 yield cid, env.delivered_at
 
@@ -550,7 +547,7 @@ class ExperimentRunner:
     def _upload(self, label, sender, receiver, nbytes, sent_at, r, cutoff=None) -> float | None:
         """Send one upload; its arrival time, or None if it is lost or lands
         after `cutoff`."""
-        env = self._send(label, self.cfg.net, sender, receiver, nbytes, sent_at, r)
+        env = self._send(label, sender, receiver, nbytes, sent_at, r)
         if env.delivered_at is None or (cutoff is not None and env.delivered_at > cutoff):
             return None
         return env.delivered_at
@@ -585,7 +582,7 @@ class ExperimentRunner:
         self.cluster_model_ids = ids
 
     def _run_sync_round(self, r: int) -> None:
-        cfg = self.cfg
+        mode = self.cfg.aggregation_mode
         selected = self._select(r, self._begin_round(r))
         if selected is None:
             self._post_round(r)
@@ -593,15 +590,10 @@ class ExperimentRunner:
         pkg = self._package()
         cutoff = self._cutoff()
         delivered = list(self._broadcast(r, selected, pkg, self.clock))
-
-        # masking can be requested on top of plain fedavg; the minted record
-        # carries the protocol actually used so replay recomputes it right
-        if cfg.secure_masking:
-            minted_mode, exchange = MODE_SECURE, self._secure_exchange
-        elif cfg.aggregation_mode == MODE_HIERARCHICAL:
-            minted_mode, exchange = cfg.aggregation_mode, self._hierarchical_exchange
-        else:
-            minted_mode, exchange = cfg.aggregation_mode, self._fedavg_exchange
+        exchange = {
+            MODE_SECURE: self._secure_exchange,
+            MODE_HIERARCHICAL: self._hierarchical_exchange,
+        }.get(mode, self._fedavg_exchange)
         detail, contributors, agg, weighted = exchange(r, pkg, delivered, cutoff)
 
         self._finish_round_clock()
@@ -609,7 +601,7 @@ class ExperimentRunner:
         self._drop_nonresponders(r, selected, responded)
         if agg is not None:
             params = with_head(agg, pkg.params.values, self.body_len)
-            vid = self._mint(params, contributors, r, minted_mode, detail)
+            vid = self._mint(params, contributors, r, mode, detail)
             self._update_cluster_models(vid, weighted, pkg.params)
         self._post_round(r)
 
@@ -717,7 +709,6 @@ class ExperimentRunner:
         cfg = self.cfg
         graph = GossipGraph.ring(list(range(cfg.n_clients)))
         states = {cid: self.version_params[ROOT_VERSION] for cid in range(cfg.n_clients)}
-        reliable = replace(cfg.net, dropout_prob=0.0)
         size = wire.dense_message_size(cfg.arch.parameter_count)
         for r in range(cfg.rounds):
             self._begin_round(r)
@@ -737,7 +728,7 @@ class ExperimentRunner:
                 step_end = t
                 for a, b in graph.edges:
                     for s_node, d_node in ((a, b), (b, a)):
-                        env = self._send("gossip", reliable, s_node, d_node, size, t, r)
+                        env = self._send("gossip", s_node, d_node, size, t, r)
                         step_end = max(step_end, env.delivered_at)
                 states = gossip_round(graph, states)
                 t = step_end

@@ -154,7 +154,7 @@ def test_criterion_03_masked_aggregation_equivalence(tmp_path):
     }
     plain_res = run_experiment(parse_config(dict(base)), tmp_path / "plain")
     secure_res = run_experiment(
-        parse_config({**base, "secure_masking": True}), tmp_path / "masked")
+        parse_config({**base, "aggregation_mode": "secure"}), tmp_path / "masked")
 
     sentinels = []
     for vid in plain_res.ledger.versions():
@@ -349,8 +349,7 @@ def test_criterion_10_monitor_feedback_loop(tmp_path):
         "rounds": 60, "n_clients": 4, "seed": 5,
         "optional_components": ["monitor"],
         "monitor": {"window": window, "threshold": 0.8, "cooldown_rounds": cooldown,
-                    "band": 0.8, "drift_round": drift_round,
-                    "drift_flip_fraction": 0.4},
+                    "drift_round": drift_round, "drift_flip_fraction": 0.4},
         "net": {"dropout_prob": 0.0},
     })
     out = tmp_path / "monitored"

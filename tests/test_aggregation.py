@@ -177,14 +177,19 @@ def test_secure_round_matches_fedavg_for_five_clients():
 
 
 def test_secure_round_rejects_single_contributor(tmp_path):
-    # one client per round: the runner fails every round rather than mask alone
-    raw = {"n_clients": 4, "rounds": 2, "fraction_per_round": 0.25, "aggregation_mode": "secure"}
+    # one eligible client per round (only client 3's resource clears 0.5):
+    # the runner fails every round rather than mask alone
+    raw = {
+        "n_clients": 4, "rounds": 2, "aggregation_mode": "secure",
+        "optional_components": ["selector"], "selection": {"min_resource": 0.5},
+    }
     res = run_experiment(parse_config(raw), tmp_path)
     assert res.ledger.versions() == ("g0",)
     events = [json.loads(line) for line in (tmp_path / "event_log.jsonl").read_text().splitlines()]
     failed = [e for e in events if e["event"] == "round_failed"]
     assert [e["round"] for e in failed] == [0, 1]
     assert all(e["reason"] == "fewer than 2 masking participants" for e in failed)
+    assert [e["client_id"] for e in events if e["event"] == "local_train"] == [3, 3]
 
 
 def test_secure_sum_aborts_on_missing_participant():

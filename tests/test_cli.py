@@ -182,3 +182,41 @@ def test_report_rejects_forged_byte_counters(tmp_path):
 def test_report_requires_a_finished_run(tmp_path):
     with pytest.raises(IntegrityError):
         build_report(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"secure_masking": True}, "secure_masking"),
+        ({"optional_components": ["monitor"], "monitor": {"band": 0.3}}, "monitor.band"),
+        ({"aggregation_mode": "decentralised", "net": {"dropout_prob": 0.5}}, "net.dropout_prob"),
+        ({"optional_components": ["cluster"]}, "deployment_selector"),
+        ({"data": {"augment_target": [0.2, 0.3, 0.5]}}, "data.augment_target"),
+        ({"aggregation_mode": "decentralised", "n_clients": 1}, "n_clients"),
+        (
+            {"aggregation_mode": "secure", "n_clients": 10, "fraction_per_round": 0.1},
+            "fraction_per_round",
+        ),
+        (
+            {"aggregation_mode": "hierarchical", "n_clients": 3, "round": {"min_updates": 4}},
+            "round.min_updates",
+        ),
+        (
+            {
+                "data": {"augment_target": [0.5, 0.5, 0.5]},
+                "optional_components": ["heterogeneous_handler"],
+            },
+            "data.augment_target",
+        ),
+    ],
+    ids=[
+        "secure-masking", "monitor-band", "gossip-dropout", "cluster-alone", "augment-alone",
+        "one-node-ring", "one-secure-participant", "min-updates-past-clients", "augment-sum",
+    ],
+)
+def test_ignored_or_unrunnable_setting_exits_two(tmp_path, capsys, raw, key):
+    cfg = _write_config(tmp_path, {**BASE, **raw})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "o").exists()

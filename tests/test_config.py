@@ -15,6 +15,7 @@ from fedsim.config import (
 )
 from fedsim.errors import ConfigError
 from fedsim.runner import run_experiment
+from fedsim.wire import K_UPDATE_MASKED
 
 # the golden configs and the benchmark workloads
 SHIPPED_CONFIGS = [
@@ -34,7 +35,6 @@ def test_empty_config_materializes_defaults():
     assert cfg.n_clients == 4
     assert cfg.rounds == 5
     assert cfg.aggregation_mode == "fedavg"
-    assert cfg.secure_masking is False
     assert cfg.fraction == 1.0
     assert cfg.flags == frozenset()
     assert cfg.compression is None
@@ -98,8 +98,13 @@ def test_bad_aggregation_mode_lists_choices():
 
 
 def test_secure_mode_implies_masking():
-    cfg = parse_config({"aggregation_mode": "secure", "n_clients": 3})
-    assert cfg.secure_masking is True
+    res = run_experiment(
+        parse_config({"aggregation_mode": "secure", "n_clients": 3, "rounds": 2}), None
+    )
+    for vid in res.ledger.versions()[1:]:
+        rec = res.ledger.get(vid)
+        assert rec.aggregation_mode == "secure"
+        assert all(c.update_kind == K_UPDATE_MASKED for c in rec.contributors)
 
 
 def test_secure_mode_with_masking_disabled_rejected():
@@ -108,7 +113,7 @@ def test_secure_mode_with_masking_disabled_rejected():
 
 
 def test_decentralised_with_secure_masking_conflict():
-    with pytest.raises(ConfigError, match="decentralised aggregation forbids secure masking"):
+    with pytest.raises(ConfigError, match="^unknown config key secure_masking$"):
         parse_config({"aggregation_mode": "decentralised", "secure_masking": True})
 
 
@@ -118,12 +123,12 @@ def test_conflicts_reported_together():
         parse_config(
             {
                 "aggregation_mode": "decentralised",
-                "secure_masking": True,
+                "gate": {"min_accuracy": 0.5},
                 "optional_components": [FLAG_COMPRESSOR, FLAG_MULTITASK],
             }
         )
     msg = str(exc.value)
-    assert "secure masking" in msg
+    assert "upload gate" in msg
     assert "compressor" in msg
     assert "multitask" in msg
 
@@ -191,7 +196,7 @@ def test_duplicate_flag_rejected():
 
 
 def test_canonical_dict_round_trips_through_json():
-    cfg = parse_config({"rounds": 2, "optional_components": [FLAG_CLUSTER]})
+    cfg = parse_config({"rounds": 2, "optional_components": [FLAG_CLUSTER, "deployment_selector"]})
     clone = json.loads(json.dumps(cfg.canonical))
     assert parse_config(clone).run_id == cfg.run_id
 
@@ -260,12 +265,12 @@ def test_decentralised_accepts_disabled_gate_and_its_canonical_form():
     assert parse_config(cfg.canonical).run_id == cfg.run_id
 
 
-@pytest.mark.parametrize("masking", [{"aggregation_mode": "secure"}, {"secure_masking": True}])
+@pytest.mark.parametrize("masking", [{"aggregation_mode": "secure"}])
 def test_secure_masking_rejects_deployment_selector(masking):
     # masked uploads cannot be averaged per cluster, so every deployment
     # would ship the root model
     raw = {**masking, "optional_components": [FLAG_CLUSTER, "deployment_selector"]}
-    with pytest.raises(ConfigError, match="secure masking forbids the deployment_selector"):
+    with pytest.raises(ConfigError, match="secure aggregation forbids the deployment_selector"):
         parse_config(raw)
 
 
@@ -311,11 +316,7 @@ GOSSIP = {"aggregation_mode": "decentralised"}
         ({**GOSSIP, "round": {"min_updates": 2}}, "round settings require a synchronous"),
         (
             {"aggregation_mode": "secure", "round": {"min_updates": 4}},
-            "secure masking forbids round.min_updates",
-        ),
-        (
-            {"secure_masking": True, "round": {"min_updates": 2}},
-            "secure masking forbids round.min_updates",
+            "secure aggregation forbids round.min_updates",
         ),
         (
             {**GOSSIP, "fraction_per_round": 0.5},
@@ -326,8 +327,7 @@ GOSSIP = {"aggregation_mode": "decentralised"}
             "the selector component does not support decentralised aggregation",
         ),
     ],
-    ids=["async-round", "gossip-round", "secure-min-updates", "masking-min-updates",
-         "gossip-fraction", "gossip-selector"],
+    ids=["async-round", "gossip-round", "secure-min-updates", "gossip-fraction", "gossip-selector"],
 )
 def test_setting_that_changes_nothing_is_a_named_conflict(raw, message):
     # each of these ran, and gave the artifacts of its default, before it was rejected
@@ -336,3 +336,84 @@ def test_setting_that_changes_nothing_is_a_named_conflict(raw, message):
     # the default values, as config.json writes them, are still accepted
     defaults = parse_config({}).canonical
     parse_config({**raw, **{key: defaults[key] for key in raw if key != "aggregation_mode"}})
+
+
+@pytest.mark.parametrize(
+    "raw, message, accepted",
+    [
+        ({"secure_masking": True}, "^unknown config key secure_masking$", {}),
+        (
+            {"optional_components": ["monitor"], "monitor": {"band": 0.3}},
+            "^unknown config key monitor.band$",
+            {"optional_components": ["monitor"]},
+        ),
+        (
+            {**GOSSIP, "net": {"dropout_prob": 0.5}},
+            "decentralised aggregation forbids a net.dropout_prob above 0",
+            {**GOSSIP, "net": {"dropout_prob": 0.0}},
+        ),
+        (
+            {"optional_components": [FLAG_CLUSTER]},
+            "the cluster component requires the deployment_selector component",
+            {"optional_components": [FLAG_CLUSTER, "deployment_selector"]},
+        ),
+        (
+            {"data": {"augment_target": [0.2, 0.3, 0.5]}},
+            "data.augment_target requires the heterogeneous_handler component",
+            {
+                "data": {"augment_target": [0.2, 0.3, 0.5]},
+                "optional_components": ["heterogeneous_handler"],
+            },
+        ),
+    ],
+    ids=["secure-masking", "monitor-band", "gossip-dropout", "cluster-alone", "augment-alone"],
+)
+def test_setting_a_run_ignores_is_rejected(raw, message, accepted):
+    # each of these ran and gave the bytes of a config without it
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw)
+    parse_config(accepted)
+
+
+def test_gossip_links_default_to_lossless():
+    assert parse_config(GOSSIP).net.dropout_prob == 0.0
+    assert parse_config({}).net.dropout_prob == 0.05
+
+
+@pytest.mark.parametrize(
+    "raw, message, accepted",
+    [
+        (
+            {**GOSSIP, "n_clients": 1},
+            "decentralised aggregation needs n_clients >= 2",
+            {**GOSSIP, "n_clients": 2},
+        ),
+        (
+            {"aggregation_mode": "secure", "n_clients": 10, "fraction_per_round": 0.1},
+            "secure aggregation needs 2 or more clients a round",
+            {"aggregation_mode": "secure", "n_clients": 11, "fraction_per_round": 0.1},
+        ),
+        (
+            {"aggregation_mode": "hierarchical", "n_clients": 3, "round": {"min_updates": 4}},
+            "round.min_updates cannot exceed n_clients",
+            {"aggregation_mode": "hierarchical", "n_clients": 3, "round": {"min_updates": 3}},
+        ),
+        (
+            {
+                "data": {"augment_target": [0.5, 0.5, 0.5]},
+                "optional_components": ["heterogeneous_handler"],
+            },
+            r"^data\.augment_target: class weights must sum to 1 within 1e-9$",
+            {
+                "data": {"augment_target": [0.5, 0.5, 0.0]},
+                "optional_components": ["heterogeneous_handler"],
+            },
+        ),
+    ],
+    ids=["one-node-ring", "one-secure-participant", "min-updates-past-clients", "augment-sum"],
+)
+def test_config_that_cannot_run_is_rejected(raw, message, accepted):
+    # each of these failed at set-up or minted nothing past g0
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw)
+    parse_config(accepted)

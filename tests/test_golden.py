@@ -5,6 +5,11 @@ Each config under tests/golden/ is rerun and every artifact it produces
 the value frozen in checksums.json.  A mismatch means the simulator's
 output changed for an existing config, which is a breaking change until
 the manifest is deliberately regenerated.
+
+Run as a script to see which entries a change moves, and with --write to
+regenerate the manifest:
+
+    PYTHONPATH=src python tests/test_golden.py [--write]
 """
 
 import hashlib
@@ -52,3 +57,24 @@ def test_artifacts_match_frozen_checksums(config_path, tmp_path):
     out = tmp_path / config_path.stem
     run_experiment(cfg, out)
     assert _digest_tree(out) == MANIFEST[config_path.name]
+
+
+if __name__ == "__main__":
+    import argparse
+    import tempfile
+
+    parser = argparse.ArgumentParser(description="diff the goldens against checksums.json")
+    parser.add_argument("--write", action="store_true", help="rewrite checksums.json")
+    args = parser.parse_args()
+    fresh = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for cf in CONFIGS:
+            out = Path(tmp) / cf.stem
+            run_experiment(parse_config(json.loads(cf.read_text())), out)
+            fresh[cf.name] = _digest_tree(out)
+    for name, digests in fresh.items():
+        frozen = MANIFEST.get(name, {})
+        moved = sorted(k for k in digests.keys() | frozen.keys() if digests.get(k) != frozen.get(k))
+        print(f"{name}: {', '.join(moved) or 'unchanged'}")
+    if args.write:
+        (GOLDEN_DIR / "checksums.json").write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")

@@ -11,7 +11,6 @@ from fedsim.errors import ConfigError
 from fedsim.models import ArchDescriptor, Dataset, EvalReport, ParameterVector, evaluate
 from fedsim.monitoring import (
     ACTION_FINE_TUNE,
-    ACTION_NEW_JOB,
     ACTION_NONE,
     DECISION_DEPLOY,
     DECISION_REJECT,
@@ -208,10 +207,12 @@ def test_shallow_drop_asks_for_fine_tuning():
     assert state.last_trigger_round == 4
 
 
-def test_deep_drop_asks_for_new_job():
+def test_deep_drop_asks_for_fine_tuning():
+    # every trigger asks for fine-tuning, however far the window falls
     state = MonitorState(threshold=0.8)
-    _, actions = _feed(state, [0.3] * 5)
-    assert actions[4] == ACTION_NEW_JOB
+    state, actions = _feed(state, [0.3] * 5)
+    assert actions == [ACTION_NONE] * 4 + [ACTION_FINE_TUNE]
+    assert state.last_trigger_round == 4
 
 
 def test_window_is_bounded():
@@ -233,7 +234,7 @@ def test_cooldown_spaces_triggers():
 def test_recovery_resets_nothing_but_stops_triggers():
     state = MonitorState(threshold=0.8)
     state, actions = _feed(state, [0.4] * 5 + [0.95] * 10)
-    assert actions[4] == ACTION_NEW_JOB
+    assert actions[4] == ACTION_FINE_TUNE
     assert set(actions[5:]) == {ACTION_NONE}
 
 

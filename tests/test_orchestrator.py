@@ -47,15 +47,15 @@ def _report(accuracy, loss=0.3):
 
 
 def test_create_job_zeros_init():
-    _, package = create_job(ARCH, HP, INIT_ZEROS, "job-a")
+    package = create_job(ARCH, HP, INIT_ZEROS)
     assert package.version_id == "g0"
     assert np.linalg.norm(package.params.values) == 0.0
     assert package.hp == HP
 
 
 def test_create_job_is_deterministic():
-    _, a = create_job(ARCH, HP, INIT_SEEDED_UNIFORM, "job-a")
-    _, b = create_job(ARCH, HP, INIT_SEEDED_UNIFORM, "job-a")
+    a = create_job(ARCH, HP, INIT_SEEDED_UNIFORM)
+    b = create_job(ARCH, HP, INIT_SEEDED_UNIFORM)
     assert a.params.values.tobytes() == b.params.values.tobytes()
     assert np.max(np.abs(a.params.values)) <= 0.05
     assert np.any(a.params.values != 0.0)

@@ -307,16 +307,10 @@ def test_secure_round_matches_plain_average():
     assert np.max(np.abs(a - b)) <= 1e-9
 
 
-def test_masking_flag_without_secure_mode_still_masks():
-    # requesting masking on a plain fedavg config must not silently
-    # downgrade to cleartext uploads
-    res = run_experiment(
-        _cfg(secure_masking=True, net={"dropout_prob": 0.0}), None
-    )
-    for vid in res.ledger.versions()[1:]:
-        rec = res.ledger.get(vid)
-        assert rec.aggregation_mode == "secure"
-        assert all(c.update_kind == wire.K_UPDATE_MASKED for c in rec.contributors)
+def test_masking_flag_without_secure_mode_is_an_unknown_key():
+    # masking is spelled aggregation_mode secure, and only so
+    with pytest.raises(ConfigError, match="^unknown config key secure_masking$"):
+        _cfg(secure_masking=True, net={"dropout_prob": 0.0})
 
 
 def test_single_edge_hierarchy_is_bitwise_flat():
@@ -408,7 +402,6 @@ def test_drift_trips_monitor_then_boosts_next_round():
             "window": 2,
             "threshold": 0.9,
             "cooldown_rounds": 2,
-            "band": 0.3,
             "drift_round": 3,
             "drift_flip_fraction": 0.3,
         },
