@@ -67,7 +67,19 @@ def _cmd_run(args) -> int:
         out_dir = Path("runs") / cfg.run_id
     result = run_experiment(cfg, out_dir)
     last = result.metrics[-1]
-    print(f"run {result.run_id}: {result.rounds} rounds, final {result.final_version_id}")
+    ledger = result.ledger
+    aggregated = len({ledger.get(v).created_at_round for v in ledger.versions()[1:]})
+    print(
+        f"run {result.run_id}: {result.rounds} rounds, {aggregated} aggregated, "
+        f"final {result.final_version_id}"
+    )
+    if not aggregated:
+        # the run completed, so it still exits 0
+        warning = "warning: no round aggregated, so the model is the initial one"
+        if result.round_failures:
+            first = result.round_failures[0]
+            warning += f"; round {first['round']} failed: {first['reason']}"
+        print(warning, file=sys.stderr)
     print(f"global accuracy {last['global_acc']:.4f}, loss {last['global_loss']:.4f}")
     print(f"artifacts in {out_dir}")
     return EXIT_OK

@@ -57,4 +57,6 @@ class UnresolvableClassError(ValueError):
 
 
 class ArchiveError(RuntimeError):
-    """Payload archive is incomplete. Message lists the missing content hashes."""
+    """Payload archive is incomplete or unreadable: missing content hashes,
+    the per-blob layout from before segments, or a segment record that is
+    short, malformed or repeated. The message names what and where."""

@@ -6,10 +6,10 @@ the recorded) parameters of everything it depends on, so a single corrupt
 payload flags its own version and taints the entire chain below it.
 
 Memory is bounded by what the fold still needs, not by the run's length.
-The archive is read one blob at a time, when a version names it. A
-recomputed version is held only until its last use as a parent or an
-async base, which the ledger gives up front; one that nothing uses is
-never held.
+The archive's segments are indexed once; a blob is read from its segment
+with one seek, when a version names it. A recomputed version is held only
+until its last use as a parent or an async base, which the ledger gives up
+front; one that nothing uses is never held.
 """
 
 from __future__ import annotations
@@ -65,33 +65,44 @@ def all_match(checks: list[VersionCheck]) -> bool:
 
 class _PayloadStore(Mapping):
     """Read-only content hash -> blob view of a payload directory. The
-    names are listed once; a blob is read from disk each time it is asked
-    for and is not kept."""
+    segments are indexed once, to (segment, offset, length) per hash; a blob
+    is read with one seek each time it is asked for and is not kept."""
 
     def __init__(self, pdir: Path):
-        self._dir = pdir
-        self._names = frozenset(p.stem for p in pdir.glob("*.bin"))
+        self._index = wire.index_segments(pdir)
 
     def __getitem__(self, digest: str) -> bytes:
-        if digest not in self._names:
-            raise KeyError(digest)
-        return (self._dir / f"{digest}.bin").read_bytes()
+        segment, offset, length = self._index[digest]
+        with segment.open("rb") as fh:
+            fh.seek(offset)
+            return fh.read(length)
 
     def __contains__(self, digest: object) -> bool:
-        return digest in self._names
+        return digest in self._index
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._names))
+        return iter(sorted(self._index))
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._index)
 
 
 def load_archive(payload_dir: str | Path) -> Mapping[str, bytes]:
-    """Open a payload store written by a run: one file per content hash."""
+    """Open the payload archive a run wrote: the segments of `payload_dir`
+    (wire.SegmentWriter), indexed once.
+
+    Raises ArchiveError when the directory does not exist, when it holds
+    only per-blob .bin files (the layout before segments), and, naming the
+    segment and byte offset, when a record is short, malformed or repeated.
+    """
     pdir = Path(payload_dir)
     if not pdir.is_dir():
         raise ArchiveError(f"payload directory {pdir} does not exist")
+    if not any(pdir.glob("*.pack")) and any(pdir.glob("*.bin")):
+        raise ArchiveError(
+            f"payload directory {pdir} holds one .bin file per blob, the layout "
+            "before segments; replay reads .pack segments"
+        )
     return _PayloadStore(pdir)
 
 

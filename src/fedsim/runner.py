@@ -133,6 +133,7 @@ class RunResult:
     metrics: list[dict]
     ledger: VersionLedger
     version_params: dict[str, ParameterVector]
+    round_failures: list[dict]  # the round_failed events, in order
 
 
 def _flip_labels(ds: Dataset, fraction: float, rng: np.random.Generator) -> Dataset:
@@ -199,13 +200,19 @@ class ExperimentRunner:
         pkg = create_job(cfg.arch, cfg.hp, cfg.init_mode)
         self.ledger = VersionLedger()
         # content hash -> sha256 of the blob archived under it, which is enough
-        # to catch a second blob with the same hash; the blob itself goes to
-        # payloads/ when first archived, and only the 32-byte check stays here
+        # to catch a second blob with the same hash; the blob itself is
+        # appended to a payloads/ segment when first archived, and only the
+        # 32-byte check stays here
         self._archive: dict[str, bytes] = {}
-        self._payload_dir: Path | None = None
+        self._segments: wire.SegmentWriter | None = None
         if cfg.has(FLAG_CO_VERSIONING) and self.out_dir is not None:
-            self._payload_dir = self.out_dir / "payloads"
-            self._payload_dir.mkdir(parents=True, exist_ok=True)
+            payload_dir = self.out_dir / "payloads"
+            payload_dir.mkdir(parents=True, exist_ok=True)
+            # a rerun into the directory starts a fresh archive, as it
+            # rewrites every other artifact
+            for stale in payload_dir.glob("*.pack"):
+                stale.unlink()
+            self._segments = wire.SegmentWriter(payload_dir)
         root_hash = self._archive_blob(wire.params_bytes(pkg.params.values))
         self.ledger.record(
             GlobalVersionRecord(
@@ -338,16 +345,17 @@ class ExperimentRunner:
         return dense_update(env.payload, update_core(base.values, self.body_len))
 
     def _archive_blob(self, blob: bytes) -> str:
-        """Content hash of `blob`, archived under co-versioning: written to
-        payloads/ the first time it is seen, when the run has an out_dir."""
+        """Content hash of `blob`, archived under co-versioning: appended to
+        a payloads/ segment the first time it is seen, when the run has an
+        out_dir."""
         digest = wire.content_hash(blob)
         if self.cfg.has(FLAG_CO_VERSIONING):
             check = hashlib.sha256(blob).digest()
             held = self._archive.get(digest)
             if held is None:
                 self._archive[digest] = check
-                if self._payload_dir is not None:
-                    (self._payload_dir / f"{digest}.bin").write_bytes(blob)
+                if self._segments is not None:
+                    self._segments.append(digest, blob)
             elif held != check:
                 raise IntegrityError(f"two different payloads hash to [{digest}]")
         return digest
@@ -828,6 +836,7 @@ class ExperimentRunner:
             metrics=self.metrics,
             ledger=self.ledger,
             version_params=self.version_params,
+            round_failures=[e for e in self.events if e["event"] == "round_failed"],
         )
         if self.out_dir is not None:
             self._write_artifacts()

@@ -18,6 +18,16 @@ generators at once, with the bytes np.random.default_rng gives each.
 
 Every .jsonl artifact goes through write_jsonl: one strict (RFC 8259) JSON
 object per line, with sorted keys.
+
+The payload archive is a run's payloads/ directory of append-only segment
+files, 000000.pack, 000001.pack, and so on. A segment is a run of records,
+each the blob's content hash as 16 ASCII hex digits, the blob's length as a
+u64 little-endian, then the blob. SegmentWriter appends them and rolls to a
+new segment when a record would take the current one past SEGMENT_BYTES; a
+record larger than that gets a segment of its own. index_segments reads the
+records' places back. Appending saves the file creation that one file per
+blob costs, and the cap bounds what a reader that takes a file whole (a
+checksum tool) holds at once.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptMessageError
+from .errors import ArchiveError, CorruptMessageError
 
 # update kinds; ledger.jsonl records these numbers
 K_UPDATE_DENSE = 6  # envelope: header | base u32 | n_samples u32 | eval block | payload
@@ -314,3 +324,70 @@ def write_jsonl(path: str | Path, rows) -> None:
             except ValueError:
                 line = json.dumps(_finite_or_null(row), sort_keys=True, allow_nan=False)
             fh.write(line + "\n")
+
+
+# ---------------------------------------------------------------------------
+# payload archive segments
+# ---------------------------------------------------------------------------
+
+SEGMENT_BYTES = 1 << 18  # a segment's cap, which only a lone larger record exceeds
+_RECORD_HEAD = struct.Struct("<16sQ")  # content hash as ASCII hex digits, blob length
+_HEX_DIGITS = frozenset(b"0123456789abcdef")
+
+
+class SegmentWriter:
+    """Appends payload records to the segments of one directory, from
+    segment 0. The current segment is opened once per record and closed
+    again, so every record appended before a failure is on disk."""
+
+    def __init__(self, directory: Path):
+        self._directory = directory
+        self._segment = 0
+        self._size = 0  # bytes in the current segment
+
+    def append(self, digest: str, blob: bytes) -> None:
+        size = _RECORD_HEAD.size + len(blob)
+        if self._size and self._size + size > SEGMENT_BYTES:
+            self._segment += 1
+            self._size = 0
+        with (self._directory / f"{self._segment:06d}.pack").open("ab") as fh:
+            fh.write(_RECORD_HEAD.pack(digest.encode("ascii"), len(blob)))
+            fh.write(blob)
+        self._size += size
+
+
+def index_segments(directory: Path) -> dict[str, tuple[Path, int, int]]:
+    """content hash -> (segment, offset, length) of its blob, for every
+    record in the segments of `directory`, read header by header.
+
+    Raises ArchiveError naming the segment and the record's byte offset when
+    a record is cut short, its hash is not 16 lowercase hex digits, or its
+    hash was already indexed.
+    """
+    index: dict[str, tuple[Path, int, int]] = {}
+    for segment in sorted(directory.glob("*.pack")):
+        end = segment.stat().st_size
+        with segment.open("rb") as fh:
+            offset = 0
+            while offset < end:
+                head = fh.read(_RECORD_HEAD.size)
+                where = f"segment {segment.name} at byte {offset}"
+                if len(head) < _RECORD_HEAD.size:
+                    raise ArchiveError(f"{where}: record header cut short")
+                raw, length = _RECORD_HEAD.unpack(head)
+                if not _HEX_DIGITS.issuperset(raw):
+                    raise ArchiveError(f"{where}: record does not start with a content hash")
+                start = offset + _RECORD_HEAD.size
+                if start + length > end:
+                    raise ArchiveError(f"{where}: record of {length} bytes cut short")
+                digest = raw.decode("ascii")
+                if digest in index:
+                    first, first_start, _ = index[digest]
+                    raise ArchiveError(
+                        f"{where}: [{digest}] is archived twice, first in segment "
+                        f"{first.name} at byte {first_start - _RECORD_HEAD.size}"
+                    )
+                index[digest] = (segment, start, length)
+                offset = start + length
+                fh.seek(offset)
+    return index

@@ -46,6 +46,7 @@ from fedsim.replay import STATUS_HASH_MISMATCH, STATUS_MATCH, all_match, replay_
 from fedsim.runner import run_experiment
 from fedsim.wire import K_UPDATE_DENSE, K_UPDATE_MASKED, K_UPDATE_SPARSE8
 from gradcheck import finite_difference_gradient, loss_and_gradient
+from payload_archive import flip_byte, read_blobs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CONFIGS = sorted(GOLDEN_DIR.glob("g*.json"))
@@ -157,14 +158,14 @@ def test_criterion_03_masked_aggregation_equivalence(tmp_path):
         parse_config({**base, "aggregation_mode": "secure"}), tmp_path / "masked")
 
     sentinels = []
+    plain_blobs = read_blobs(tmp_path / "plain" / "payloads")
     for vid in plain_res.ledger.versions():
         rec = plain_res.ledger.get(vid)
         for c in rec.contributors:
             # the stored payload body is exactly the raw update floats
-            blob = (tmp_path / "plain" / "payloads" / f"{c.payload_hash}.bin").read_bytes()
-            sentinels.append(blob)
-    traffic = b"".join(
-        p.read_bytes() for p in sorted((tmp_path / "masked" / "payloads").glob("*.bin")))
+            sentinels.append(plain_blobs[c.payload_hash])
+    masked_blobs = read_blobs(tmp_path / "masked" / "payloads")
+    traffic = b"".join(masked_blobs[d] for d in sorted(masked_blobs))
     leaked = sum(1 for s in sentinels if s in traffic)
 
     masked_kinds = all(
@@ -319,10 +320,7 @@ def test_criterion_09_lineage_replay_and_tamper(tmp_path):
         victim_hash, owners = next(
             (h, o) for h, o in hash_owners.items() if len(o) == 1)
         victim = owners[0]
-        pfile = out / "payloads" / f"{victim_hash}.bin"
-        blob = bytearray(pfile.read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        pfile.write_bytes(bytes(blob))
+        flip_byte(out / "payloads", victim_hash)
         rc = cli_main(["replay", "--ledger", str(out / "ledger.jsonl"),
                        "--archive", str(out / "payloads")])
         tampered = {c.version_id: c.status for c in

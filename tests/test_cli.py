@@ -9,6 +9,7 @@ import pytest
 from fedsim.cli import main
 from fedsim.errors import IntegrityError
 from fedsim.report import build_report
+from payload_archive import flip_byte
 
 
 def _write_config(tmp_path, raw):
@@ -28,6 +29,35 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path, capsys):
     assert (out / "metrics.jsonl").is_file()
     stdout = capsys.readouterr().out
     assert "3 rounds" in stdout
+
+
+def test_run_that_aggregates_no_round_warns_and_exits_zero(tmp_path, capsys):
+    # one client clears the resource bar, so no secure round has two maskers
+    cfg = _write_config(
+        tmp_path,
+        {
+            "n_clients": 4,
+            "rounds": 2,
+            "aggregation_mode": "secure",
+            "optional_components": ["selector"],
+            "selection": {"min_resource": 0.5},
+        },
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    captured = capsys.readouterr()
+    assert "2 rounds, 0 aggregated, final g0" in captured.out
+    assert captured.err.splitlines() == [
+        "warning: no round aggregated, so the model is the initial one; "
+        "round 0 failed: fewer than 2 masking participants"
+    ]
+
+
+def test_run_that_aggregates_prints_no_warning(tmp_path, capsys):
+    cfg = _write_config(tmp_path, BASE)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    captured = capsys.readouterr()
+    assert "3 rounds, 3 aggregated, final g3" in captured.out
+    assert captured.err == ""
 
 
 def test_out_dir_env_var_is_the_fallback(tmp_path, capsys, monkeypatch):
@@ -140,10 +170,7 @@ def test_replay_flags_tampering_with_exit_one(tmp_path, capsys):
         json.loads(line) for line in (out / "ledger.jsonl").read_text().splitlines()
     ]
     victim = ledger_rows[1]["contributors"][0]["payload_hash"]
-    pfile = out / "payloads" / f"{victim}.bin"
-    blob = bytearray(pfile.read_bytes())
-    blob[0] ^= 0x01
-    pfile.write_bytes(bytes(blob))
+    flip_byte(out / "payloads", victim, at=0)
     code = main(
         ["replay", "--ledger", str(out / "ledger.jsonl"), "--archive", str(out / "payloads")]
     )

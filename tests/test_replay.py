@@ -22,6 +22,7 @@ from fedsim.replay import (
     verify_ledger,
 )
 from fedsim.runner import run_experiment
+from payload_archive import drop_blob, edit_blob, flip_byte, read_blobs
 
 
 def _run(tmp_path, **overrides):
@@ -85,10 +86,7 @@ def test_flipped_payload_byte_flags_exact_version_and_taints_children(tmp_path):
     out = _run(tmp_path, net={"dropout_prob": 0.0})
     ledger = VersionLedger.read_jsonl(out / "ledger.jsonl")
     victim = ledger.get("g2").contributors[0].payload_hash
-    pfile = out / "payloads" / f"{victim}.bin"
-    blob = bytearray(pfile.read_bytes())
-    blob[3] ^= 0x01
-    pfile.write_bytes(bytes(blob))
+    flip_byte(out / "payloads", victim, at=3)
 
     status = {c.version_id: c.status for c in replay_run(out / "ledger.jsonl", out / "payloads")}
     assert status == {
@@ -102,10 +100,11 @@ def test_flipped_payload_byte_flags_exact_version_and_taints_children(tmp_path):
 def test_tampered_root_taints_everything(tmp_path):
     out = _run(tmp_path, net={"dropout_prob": 0.0})
     ledger = VersionLedger.read_jsonl(out / "ledger.jsonl")
-    root_file = out / "payloads" / f"{ledger.get('g0').params_hash}.bin"
-    blob = bytearray(root_file.read_bytes())
-    blob[0] ^= 0x80
-    root_file.write_bytes(bytes(blob))
+    edit_blob(
+        out / "payloads",
+        ledger.get("g0").params_hash,
+        lambda blob: bytes([blob[0] ^ 0x80]) + blob[1:],
+    )
 
     checks = replay_run(out / "ledger.jsonl", out / "payloads")
     assert checks[0].status == STATUS_HASH_MISMATCH
@@ -116,7 +115,7 @@ def test_missing_payload_reported_without_guessing(tmp_path):
     out = _run(tmp_path, net={"dropout_prob": 0.0})
     ledger = VersionLedger.read_jsonl(out / "ledger.jsonl")
     victim = ledger.get("g1").contributors[2].payload_hash
-    (out / "payloads" / f"{victim}.bin").unlink()
+    drop_blob(out / "payloads", victim)
 
     checks = replay_run(out / "ledger.jsonl", out / "payloads")
     status = {c.version_id: c.status for c in checks}
@@ -130,7 +129,7 @@ def test_missing_root_parameters_abort_the_replay(tmp_path):
     out = _run(tmp_path)
     ledger = VersionLedger.read_jsonl(out / "ledger.jsonl")
     root_hash = ledger.get("g0").params_hash
-    (out / "payloads" / f"{root_hash}.bin").unlink()
+    drop_blob(out / "payloads", root_hash)
     with pytest.raises(ArchiveError) as err:
         replay_run(out / "ledger.jsonl", out / "payloads")
     assert root_hash in str(err.value)
@@ -162,6 +161,85 @@ def test_ledger_hashed_with_another_algorithm_is_a_named_error(tmp_path, capsys,
 def test_missing_payload_directory_aborts(tmp_path):
     with pytest.raises(ArchiveError):
         load_archive(tmp_path / "nowhere")
+
+
+def _per_blob_layout(pdir):
+    """Rewrite the archive as one <hash>.bin file per blob, as runs wrote it
+    before segments."""
+    blobs = read_blobs(pdir)
+    for segment in pdir.glob("*.pack"):
+        segment.unlink()
+    for digest, blob in blobs.items():
+        (pdir / f"{digest}.bin").write_bytes(blob)
+    return "holds one .bin file per blob, the layout before segments"
+
+
+# the run under test archives into one segment
+SEGMENT = "000000.pack"
+
+
+def _cut_last_record_short(pdir):
+    _, offset, length = max(wire.index_segments(pdir).values(), key=lambda loc: loc[1])
+    (pdir / SEGMENT).write_bytes((pdir / SEGMENT).read_bytes()[:-1])
+    head = offset - wire._RECORD_HEAD.size
+    return f"segment {SEGMENT} at byte {head}: record of {length} bytes cut short"
+
+
+def _cut_header_short(pdir):
+    data = (pdir / SEGMENT).read_bytes()
+    (pdir / SEGMENT).write_bytes(data + data[:10])
+    return f"segment {SEGMENT} at byte {len(data)}: record header cut short"
+
+
+def _malformed_hash(pdir):
+    (pdir / SEGMENT).write_bytes(b"G" + (pdir / SEGMENT).read_bytes()[1:])
+    return f"segment {SEGMENT} at byte 0: record does not start with a content hash"
+
+
+def _repeated_record(pdir):
+    digest, (_, offset, length) = min(
+        wire.index_segments(pdir).items(), key=lambda item: item[1][1]
+    )
+    data = (pdir / SEGMENT).read_bytes()
+    (pdir / SEGMENT).write_bytes(data + data[: offset + length])
+    return (
+        f"segment {SEGMENT} at byte {len(data)}: [{digest}] is archived twice, "
+        f"first in segment {SEGMENT} at byte 0"
+    )
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _per_blob_layout,
+        _cut_last_record_short,
+        _cut_header_short,
+        _malformed_hash,
+        _repeated_record,
+    ],
+    ids=["per-blob-layout", "short-record", "short-header", "malformed-hash", "repeated-hash"],
+)
+def test_unreadable_archive_is_a_named_error(tmp_path, capsys, damage):
+    out = _run(tmp_path)
+    assert [p.name for p in (out / "payloads").iterdir()] == [SEGMENT]
+    message = damage(out / "payloads")
+    with pytest.raises(ArchiveError) as err:
+        replay_run(out / "ledger.jsonl", out / "payloads")
+    assert message in str(err.value)
+    args = ["replay", "--ledger", str(out / "ledger.jsonl"), "--archive", str(out / "payloads")]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_rerun_into_one_directory_starts_a_fresh_archive(tmp_path):
+    out = _run(tmp_path)
+    packed = {p.name: p.read_bytes() for p in (out / "payloads").iterdir()}
+    held = len(load_archive(out / "payloads"))
+    assert _run(tmp_path) == out
+    assert {p.name: p.read_bytes() for p in (out / "payloads").iterdir()} == packed
+    _run(tmp_path, rounds=1)
+    assert len(load_archive(out / "payloads")) < held
+    assert all_match(replay_run(out / "ledger.jsonl", out / "payloads"))
 
 
 def test_verify_uses_recomputed_parents_not_recorded_hashes(tmp_path):
@@ -198,7 +276,7 @@ def _dependencies(rec):
 def _eager_verify(ledger, payload_dir):
     """The fold as it was before replay streamed: every blob read up front
     and every MATCH version kept to the end."""
-    archive = {p.stem: p.read_bytes() for p in sorted(payload_dir.glob("*.bin"))}
+    archive = read_blobs(payload_dir)
     checks, clean, bad = [], {}, set()
     for vid in ledger.versions():
         rec = ledger.get(vid)
@@ -228,14 +306,11 @@ def _eager_verify(ledger, payload_dir):
 
 
 def _flip_payload_byte(out, victim):
-    pfile = out / "payloads" / f"{victim.contributors[0].payload_hash}.bin"
-    blob = bytearray(pfile.read_bytes())
-    blob[len(blob) // 2] ^= 0x01
-    pfile.write_bytes(bytes(blob))
+    flip_byte(out / "payloads", victim.contributors[0].payload_hash)
 
 
 def _delete_payload(out, victim):
-    (out / "payloads" / f"{victim.contributors[0].payload_hash}.bin").unlink()
+    drop_blob(out / "payloads", victim.contributors[0].payload_hash)
 
 
 def _edit_recorded_hash(out, victim):
@@ -314,13 +389,16 @@ def test_replay_memory_is_set_by_live_versions_not_by_chain_length(tmp_path):
 def test_payload_store_reads_on_demand_and_is_read_only(tmp_path):
     out = _run(tmp_path)
     archive = load_archive(out / "payloads")
-    names = sorted(p.stem for p in (out / "payloads").glob("*.bin"))
+    blobs = read_blobs(out / "payloads")
+    names = sorted(blobs)
     assert list(archive) == names and len(archive) == len(names)
+    assert all(archive[name] == blob for name, blob in blobs.items())
     assert "0" * 16 not in archive
     with pytest.raises(KeyError):
         archive["0" * 16]
     # a blob is read when asked for, so a later edit on disk shows
-    (out / "payloads" / f"{names[0]}.bin").write_bytes(b"edited")
-    assert archive[names[0]] == b"edited"
+    edited = b"E" * len(blobs[names[0]])
+    edit_blob(out / "payloads", names[0], lambda _: edited)
+    assert archive[names[0]] == edited
     with pytest.raises(TypeError):
         archive[names[0]] = b"x"

@@ -19,6 +19,7 @@ from fedsim.errors import ConfigError, DivergenceError, IntegrityError, Selectio
 from fedsim.models import ParameterVector, accuracies, evaluate, seq_sum
 from fedsim.monitoring import DeploymentSelector, deploy
 from fedsim.runner import ExperimentRunner, run_experiment
+from payload_archive import read_blobs
 
 METRIC_KEYS = {
     "round",
@@ -267,15 +268,11 @@ def test_two_payloads_under_one_hash_raise(tmp_path, monkeypatch, with_out_dir):
         run_experiment(cfg, tmp_path / "run" if with_out_dir else None)
 
 
-def _payload_files(out):
-    return {p.stem: p.read_bytes() for p in (out / "payloads").glob("*.bin")}
-
-
 def test_payloads_are_written_as_archived_and_not_held(tmp_path):
     out = tmp_path / "run"
     run = ExperimentRunner(_cfg(optional_components=["co_versioning"]), out)
     run.run()
-    files = _payload_files(out)
+    files = read_blobs(out / "payloads")
     assert set(files) == set(run._archive)
     assert all(wire.content_hash(blob) == name for name, blob in files.items())
     assert all(len(check) == 32 for check in run._archive.values())
@@ -290,7 +287,7 @@ def test_diverged_run_leaves_the_payloads_it_archived(tmp_path):
     assert len(run.ledger) > 1  # versions were minted before the failure
     records = [run.ledger.get(v) for v in run.ledger.versions()]
     named = {records[0].params_hash} | {c.payload_hash for r in records for c in r.contributors}
-    files = _payload_files(out)
+    files = read_blobs(out / "payloads")
     assert named <= set(files)
     assert all(wire.content_hash(blob) == name for name, blob in files.items())
 
@@ -583,7 +580,7 @@ def test_archive_holds_root_and_contributor_payloads(tmp_path):
     cfg = _cfg(net={"dropout_prob": 0.0}, optional_components=["co_versioning"])
     res = run_experiment(cfg, tmp_path / "run")
     payload_dir = tmp_path / "run" / "payloads"
-    stored = {p.stem for p in payload_dir.iterdir()}
+    stored = set(read_blobs(payload_dir))
     want = {res.ledger.get("g0").params_hash}
     for vid in res.ledger.versions():
         for c in res.ledger.get(vid).contributors:
