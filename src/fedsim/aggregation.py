@@ -1,10 +1,13 @@
 """Combining client updates into new global models.
 
-Five strategies share one weighted-mean core: plain weighted averaging,
-masked-sum averaging, staleness-damped asynchronous merging, two-level
-edge aggregation, and decentralised gossip mixing.  The version ledger
-at the bottom records which contributions produced each global model so
-any version can be rebuilt from archived payloads.
+Five strategies: plain weighted averaging, masked-sum averaging,
+staleness-damped asynchronous merging, two-level edge aggregation, and
+decentralised gossip mixing.  Weighted averaging, the masked sum and the
+gossip node mean share one accumulation, `_weighted_mean`, which owns the
+ascending-id order and the overflow rule; edge aggregation is weighted
+averaging twice.  The version ledger at the bottom records which
+contributions produced each global model so any version can be rebuilt
+from archived payloads.
 """
 
 from __future__ import annotations
@@ -76,6 +79,22 @@ def _sorted_updates(updates: list[WeightedUpdate]) -> list[WeightedUpdate]:
     return ordered
 
 
+def _weighted_mean(rows, total) -> ParameterVector:
+    """The sum of values * weight over (id, values, weight) `rows`, taken in
+    ascending id order, divided by `total`.
+
+    Multiplying by a weight of 1 is exact, so plain sums share the path.
+    An overflow is left to ParameterVector, which raises NonFiniteError.
+    """
+    ordered = sorted(rows, key=lambda row: row[0])
+    acc = np.zeros(len(ordered[0][1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, values, weight in ordered:
+            acc = acc + values * weight
+        mean = acc / total
+    return ParameterVector(mean)
+
+
 def fedavg(updates: list[WeightedUpdate]) -> ParameterVector:
     """Sample-weighted mean of client parameter vectors.
 
@@ -88,15 +107,8 @@ def fedavg(updates: list[WeightedUpdate]) -> ParameterVector:
     ordered = _sorted_updates(updates)
     if len(ordered) == 1:
         return ordered[0].params
-    acc = np.zeros(len(ordered[0].params))
-    total = 0
-    # an overflow is left to ParameterVector, which raises NonFiniteError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for u in ordered:
-            acc = acc + u.params.values * u.n_samples
-            total += u.n_samples
-        mean = acc / total
-    return ParameterVector(mean)
+    total = sum(u.n_samples for u in ordered)
+    return _weighted_mean(((u.client_id, u.params.values, u.n_samples) for u in ordered), total)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +210,7 @@ def secure_sum(
         )
     if total_n <= 0:
         raise ValueError("total_n must be positive")
-    ordered = sorted(submissions, key=lambda s: s[0])
-    acc = np.zeros(ordered[0][1].shape[0])
-    for _, values in ordered:
-        acc = acc + values
-    return ParameterVector(acc / total_n)
+    return _weighted_mean(((cid, values, 1) for cid, values in submissions), total_n)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +424,7 @@ def node_mean(states: dict[int, ParameterVector]) -> ParameterVector:
     """Plain mean of node states, accumulated in ascending node id order."""
     if not states:
         raise ValueError("no states")
-    ids = sorted(states)
-    acc = np.zeros(len(states[ids[0]]))
-    for n in ids:
-        acc = acc + states[n].values
-    return ParameterVector(acc / len(ids))
+    return _weighted_mean(((n, s.values, 1) for n, s in states.items()), len(states))
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def with_head(core: ParameterVector, parent: np.ndarray, body_len: int | None) -
 # ---------------------------------------------------------------------------
 
 
-def _round_train_seed(base_seed: int, client_id: int, round_index: int) -> int:
+def round_train_seed(base_seed: int, client_id: int, round_index: int) -> int:
     packed = struct.pack("<QII", base_seed & 0xFFFFFFFFFFFFFFFF, client_id, round_index)
     return wire.fnv1a64(packed)
 
@@ -358,7 +358,7 @@ class ClientRuntime:
         head and uploads only the body.
         """
         hp = replace(
-            pkg.hp, seed=_round_train_seed(pkg.hp.seed, self.client_id, round_index)
+            pkg.hp, seed=round_train_seed(pkg.hp.seed, self.client_id, round_index)
         )
         body_len = None
         start = pkg.params

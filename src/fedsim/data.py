@@ -214,7 +214,14 @@ def client_class_weights(ps: PartitionSpec, ss: SyntheticSpec, n_clients: int) -
     k = ss.num_classes
     if ps.mode == MODE_DIRICHLET:
         rng = np.random.default_rng([ps.seed, _SALT_WEIGHTS])
-        return rng.dirichlet(np.full(k, ps.alpha), size=n_clients)
+        weights = rng.dirichlet(np.full(k, ps.alpha), size=n_clients)
+        # near float64's top, numpy's draw returns rows of zeros
+        if not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-9):
+            raise ConfigError(
+                "data.partition.alpha: too large for the Dirichlet draw, "
+                "whose class weights do not sum to 1"
+            )
+        return weights
     return np.full((n_clients, k), 1.0 / k)
 
 
@@ -289,7 +296,8 @@ def augment_balance(
     noise_sigma: float,
     seed: int = 0,
 ) -> ClientShard:
-    """Oversample under-represented classes toward `target`.
+    """Oversample under-represented classes toward `target`; None targets
+    the uniform distribution over the classes the shard holds.
 
     Duplicates seeded random members of a deficit class with small Gaussian
     jitter until the train label distribution is within TV distance 0.05 of
@@ -297,12 +305,16 @@ def augment_balance(
     Original samples are always retained.
     """
     k = shard.train.num_classes
-    target_w = _check_weights(target, k)
     orig_counts = np.bincount(shard.train.labels, minlength=k)
+    if target is None:
+        held = orig_counts > 0
+        target = held / np.count_nonzero(held)
+    target_w = _check_weights(target, k)
     for c in range(k):
         if target_w[c] > 0 and orig_counts[c] == 0:
             raise UnresolvableClassError(
-                f"target places weight on class {c} but the shard has no samples of it"
+                f"data.augment_target: places weight on class {c}, "
+                f"which client {shard.client_id} has no samples of"
             )
 
     counts = orig_counts.astype(np.int64).copy()

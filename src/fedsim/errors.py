@@ -52,8 +52,8 @@ class CorruptMessageError(ValueError):
     """A wire message failed structural decoding."""
 
 
-class UnresolvableClassError(ValueError):
-    """An augmentation target demands a class the shard does not contain."""
+class UnresolvableClassError(ConfigError):
+    """data.augment_target weights a class a client's shard does not contain."""
 
 
 class ArchiveError(RuntimeError):

@@ -1,7 +1,5 @@
-"""Post-training stages: global evaluation, deployment, incentives, monitoring.
+"""Post-training stages: global evaluation, deploy decision, incentives, monitoring.
 
-Deployment can target every active client with one model or, when a
-cluster selector is supplied, each client with its cluster's model.
 The monitor watches a sliding window of deployed accuracy and feeds a
 retraining action back to the round loop once it degrades.
 """
@@ -69,52 +67,6 @@ def decide_deploy(report: EvalReport, policy: DeployPolicy) -> DeployDecision:
     if reasons:
         return DeployDecision(DECISION_REJECT, tuple(reasons))
     return DeployDecision(DECISION_DEPLOY, ())
-
-
-# ---------------------------------------------------------------------------
-# deployment
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeploymentSelector:
-    """Cluster-targeted deployment: each client gets its cluster's model."""
-
-    assignment: dict[int, int]  # client id -> cluster index
-    cluster_models: dict[int, str]  # cluster index -> model version id
-
-
-@dataclass(frozen=True)
-class DeploymentRecord:
-    targets: tuple[int, ...]
-    model_ids: dict[int, str]  # per-target model actually shipped
-
-
-def deploy(
-    version_id: str,
-    targets: list[int],
-    selector: DeploymentSelector | None = None,
-) -> DeploymentRecord:
-    """Ship a decided model to the given active clients.
-
-    Without a selector every target receives the version itself; with
-    one, each target receives the model of its assigned cluster.
-    """
-    ordered = tuple(sorted(int(t) for t in targets))
-    if not ordered:
-        raise ValueError("no deployment targets")
-    if selector is None:
-        model_ids = {t: version_id for t in ordered}
-    else:
-        model_ids = {}
-        for t in ordered:
-            if t not in selector.assignment:
-                raise ValueError(f"client {t} has no cluster assignment")
-            cluster = selector.assignment[t]
-            if cluster not in selector.cluster_models:
-                raise ValueError(f"cluster {cluster} has no model")
-            model_ids[t] = selector.cluster_models[cluster]
-    return DeploymentRecord(ordered, model_ids)
 
 
 # ---------------------------------------------------------------------------

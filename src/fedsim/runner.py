@@ -66,6 +66,7 @@ from .client import (
     build_envelope,
     dense_update,
     encode_payload_body,
+    round_train_seed,
     update_core,
     with_head,
 )
@@ -103,11 +104,9 @@ from .models import (
 from .monitoring import (
     ACTION_NONE,
     DECISION_DEPLOY,
-    DeploymentSelector,
     MonitorState,
     accrue_incentive,
     decide_deploy,
-    deploy,
     evaluate_global,
     incentive_entries_json,
     monitor_observe,
@@ -160,12 +159,8 @@ class ExperimentRunner:
         cfg = self.cfg
         self.shards = partition(cfg.partition_spec, cfg.synthetic, cfg.n_clients)
         if cfg.has(FLAG_HETEROGENEOUS):
-            target = cfg.augment_target
-            if target is None:
-                k = cfg.arch.num_classes
-                target = tuple(1.0 / k for _ in range(k))
             self.shards = [
-                augment_balance(s, target, cfg.synthetic.noise_sigma, seed=cfg.seed)
+                augment_balance(s, cfg.augment_target, cfg.synthetic.noise_sigma, seed=cfg.seed)
                 for s in self.shards
             ]
         # shard sizes are known only once the split has run
@@ -225,13 +220,14 @@ class ExperimentRunner:
         self._next_version_n = 1
 
         self.cluster_assignment: dict[int, int] | None = None
-        self.cluster_model_ids: dict[int, str] = {}
-        self.model_store: dict[str, ParameterVector] = {}
+        # cluster index -> the model deployed to its members, replaced
+        # whenever a version is minted
+        self.cluster_models: dict[int, ParameterVector] = {}
         if cfg.has(FLAG_CLUSTER):
             vectors = self._cluster_features()
             result = cluster_clients(vectors, cfg.cluster_k, cfg.seed)
             self.cluster_assignment = result.assignment
-            self.cluster_model_ids = {c: ROOT_VERSION for c in range(cfg.cluster_k)}
+            self.cluster_models = {c: pkg.params for c in range(cfg.cluster_k)}
 
         self.mon_state = MonitorState(
             window_size=cfg.monitor_window,
@@ -263,10 +259,7 @@ class ExperimentRunner:
         init = self.version_params[ROOT_VERSION]
         vectors = {}
         for cid, shard in enumerate(self.shards):
-            seed = wire.fnv1a64(
-                struct.pack("<QII", cfg.hp.seed & 0xFFFFFFFFFFFFFFFF, cid, _PROBE_ROUND)
-            )
-            hp = replace(cfg.hp, seed=seed)
+            hp = replace(cfg.hp, seed=round_train_seed(cfg.hp.seed, cid, _PROBE_ROUND))
             trained = local_train(init, cfg.arch, shard.train, hp)
             vectors[cid] = trained.values - init.values
         return vectors
@@ -375,7 +368,7 @@ class ExperimentRunner:
             accuracy=float(ev.accuracy),
         )
 
-    def _mint(self, params, contributors, r, mode, detail) -> str:
+    def _mint(self, params, contributors, r, mode, detail) -> None:
         vid = wire.format_version(self._next_version_n)
         self._next_version_n += 1
         self._tally[r]["n_received"] += len(contributors)
@@ -409,17 +402,11 @@ class ExperimentRunner:
         if self.cfg.has(FLAG_INCENTIVES):
             shares = [(c.client_id, c.n_samples) for c in contributors]
             accrue_incentive(self.accounts, r, shares, self.cfg.incentive_rate)
-        return vid
 
     def _package(self) -> ModelPackage:
         return ModelPackage(
             self.latest_vid, self.version_params[self.latest_vid], self.cfg.arch, self.cfg.hp
         )
-
-    def _model_params(self, model_id: str) -> ParameterVector:
-        if model_id in self.model_store:
-            return self.model_store[model_id]
-        return self.version_params[model_id]
 
     # ------------------------------------------------------------------
     # per-round wrap-up: deploy, monitor, metrics
@@ -433,18 +420,18 @@ class ExperimentRunner:
         triggers = 0
         decision = decide_deploy(report, cfg.deploy_policy)
         if decision.action == DECISION_DEPLOY:
-            targets = self.registry.active_ids()
+            targets = self.registry.active_ids()  # ascending ids
             if targets:
-                selector = None
-                if cfg.has(FLAG_DEPLOYMENT_SELECTOR):
-                    selector = DeploymentSelector(self.cluster_assignment, self.cluster_model_ids)
-                rec = deploy(self.latest_vid, targets, selector)
-                layers = {
-                    mid: unpack(self._model_params(mid), cfg.arch)
-                    for mid in set(rec.model_ids.values())
-                }
+                # each target is scored on the model it is deployed: its
+                # cluster's under the selector, else the version itself
+                selector = cfg.has(FLAG_DEPLOYMENT_SELECTOR)
+                if selector:
+                    layers = {c: unpack(m, cfg.arch) for c, m in self.cluster_models.items()}
+                    models = [layers[self.cluster_assignment[t]] for t in targets]
+                else:
+                    models = [unpack(params, cfg.arch)] * len(targets)
                 accs = accuracies(
-                    (layers[rec.model_ids[t]], self.runtimes[t].shard.test) for t in rec.targets
+                    (model, self.runtimes[t].shard.test) for model, t in zip(models, targets)
                 )
                 local_mean = seq_sum(accs) / len(accs)
                 self._monitor_params = params
@@ -452,8 +439,8 @@ class ExperimentRunner:
                     {
                         "round": r,
                         "version_id": self.latest_vid,
-                        "n_targets": len(rec.targets),
-                        "selector": selector is not None,
+                        "n_targets": len(targets),
+                        "selector": selector,
                         "local_acc_mean": float(local_mean),
                     }
                 )
@@ -462,7 +449,7 @@ class ExperimentRunner:
                         "event": "deploy",
                         "round": r,
                         "version_id": self.latest_vid,
-                        "n_targets": len(rec.targets),
+                        "n_targets": len(targets),
                     }
                 )
         else:
@@ -575,19 +562,14 @@ class ExperimentRunner:
             return None
         return self.clock + self.cfg.deadline_s
 
-    def _update_cluster_models(self, vid, weighted, parent) -> None:
-        if not self.cfg.has(FLAG_DEPLOYMENT_SELECTOR):
-            return
-        ids = {}
-        for c in range(self.cfg.cluster_k):
+    def _update_cluster_models(self, params, weighted, parent) -> None:
+        """Each cluster's model after a mint (none without clusters): the
+        fedavg of its members this round, or the new version `params`."""
+        for c in self.cluster_models:
             members = [w for w in weighted if self.cluster_assignment[w.client_id] == c]
-            if members:
-                mid = f"{vid}-c{c}"
-                self.model_store[mid] = with_head(fedavg(members), parent.values, self.body_len)
-                ids[c] = mid
-            else:
-                ids[c] = vid
-        self.cluster_model_ids = ids
+            self.cluster_models[c] = (
+                with_head(fedavg(members), parent.values, self.body_len) if members else params
+            )
 
     def _run_sync_round(self, r: int) -> None:
         mode = self.cfg.aggregation_mode
@@ -609,8 +591,8 @@ class ExperimentRunner:
         self._drop_nonresponders(r, selected, responded)
         if agg is not None:
             params = with_head(agg, pkg.params.values, self.body_len)
-            vid = self._mint(params, contributors, r, mode, detail)
-            self._update_cluster_models(vid, weighted, pkg.params)
+            self._mint(params, contributors, r, mode, detail)
+            self._update_cluster_models(params, weighted, pkg.params)
         self._post_round(r)
 
     def _fedavg_exchange(self, r, pkg, delivered, cutoff):
@@ -643,8 +625,10 @@ class ExperimentRunner:
         ids = [env.client_id for _, env in commits]
         round_seed = wire.fnv1a64(struct.pack("<QI", cfg.seed & 0xFFFFFFFFFFFFFFFF, r))
         pads = pairwise_pads(ids, round_seed)
-        # each weighted update turns into its masked submission in place
-        masked = {env.client_id: env.payload.values * env.n_samples for _, env in commits}
+        # each weighted update turns into its masked submission in place; an
+        # overflow is left to ParameterVector, which raises NonFiniteError
+        with np.errstate(over="ignore", invalid="ignore"):
+            masked = {env.client_id: env.payload.values * env.n_samples for _, env in commits}
         for cid in sorted(masked):
             mask_submission(cid, masked, pads)
         total_n = sum(env.n_samples for _, env in commits)

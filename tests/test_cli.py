@@ -235,10 +235,25 @@ def test_report_requires_a_finished_run(tmp_path):
             },
             "data.augment_target",
         ),
+        (
+            {"data": {"partition": {"mode": "dirichlet_label_skew", "alpha": 1.7e308}}},
+            "data.partition.alpha",
+        ),
+        (
+            {
+                "data": {
+                    "augment_target": [0.5, 0.5, 0.0],
+                    "partition": {"mode": "dirichlet_label_skew", "alpha": 0.1},
+                },
+                "optional_components": ["heterogeneous_handler"],
+            },
+            "data.augment_target",
+        ),
     ],
     ids=[
         "secure-masking", "monitor-band", "gossip-dropout", "cluster-alone", "augment-alone",
         "one-node-ring", "one-secure-participant", "min-updates-past-clients", "augment-sum",
+        "dirichlet-alpha-past-draw", "augment-absent-class",
     ],
 )
 def test_ignored_or_unrunnable_setting_exits_two(tmp_path, capsys, raw, key):

@@ -15,7 +15,7 @@ from fedsim.client import (
     GatePolicy,
     ModelPackage,
     Withheld,
-    _round_train_seed,
+    round_train_seed,
     _top_k_indices,
     build_envelope,
     compress,
@@ -106,7 +106,7 @@ def test_handle_broadcast_matches_composed_ops():
     env = rt.handle_broadcast(pkg, round_index=2)
 
     # independent composition of the public single-step operations
-    hp = replace(pkg.hp, seed=_round_train_seed(pkg.hp.seed, 0, 2))
+    hp = replace(pkg.hp, seed=round_train_seed(pkg.hp.seed, 0, 2))
     trained = local_train(pkg.params, pkg.arch, shard.train, hp)
     report = evaluate(trained, pkg.arch, shard.test)
     assert upload_gate(report, GatePolicy())
@@ -314,7 +314,7 @@ def test_personal_params_assembles_body_and_head():
     assert not np.array_equal(own_head, pkg.params.values[cut:])
     second = replace(pkg, version_id="g1", params=ParameterVector(pkg.params.values * 0.5))
     env = rt.handle_broadcast(second, round_index=2)
-    hp = replace(second.hp, seed=_round_train_seed(second.hp.seed, 0, 2))
+    hp = replace(second.hp, seed=round_train_seed(second.hp.seed, 0, 2))
     start = ParameterVector(np.concatenate([second.params.values[:cut], own_head]))
     trained = local_train(start, MLP, rt.shard.train, hp)
     assert np.array_equal(env.payload.values, trained.values[:cut])

@@ -133,6 +133,16 @@ def test_dirichlet_huge_alpha_is_nearly_uniform():
     assert np.all(weights.max(axis=1) <= 1 / SS.num_classes + 0.05)
 
 
+def test_dirichlet_alpha_past_the_draw_is_a_named_config_error():
+    # numpy's Dirichlet draw returns rows of zeros near float64's top
+    ps = PartitionSpec("dirichlet_label_skew", alpha=1.7e308, seed=0)
+    with pytest.raises(ConfigError, match=r"^data\.partition\.alpha: "):
+        client_class_weights(ps, SS, 4)
+    ps = PartitionSpec("dirichlet_label_skew", alpha=1e300, seed=0)
+    weights = client_class_weights(ps, SS, 4)
+    assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-9)
+
+
 def test_dirichlet_small_alpha_concentrates():
     maxima = []
     for seed in range(5):
@@ -316,6 +326,18 @@ def test_augment_absent_class_rejected():
     shard = _skewed_shard(100, 0)
     with pytest.raises(UnresolvableClassError, match="class 1"):
         augment_balance(shard, [0.5, 0.5], noise_sigma=0.5)
+
+
+def test_augment_default_target_is_uniform_over_held_classes():
+    # a shard that holds every class gets the uniform target, bit for bit
+    shard = _skewed_shard(90, 10)
+    default = augment_balance(shard, None, noise_sigma=0.5, seed=3)
+    uniform = augment_balance(shard, [0.5, 0.5], noise_sigma=0.5, seed=3)
+    assert default.train.features.tobytes() == uniform.train.features.tobytes()
+    assert default.label_histogram == uniform.label_histogram
+    # one that lacks a class is balanced over the rest, not rejected
+    one_class = _skewed_shard(100, 0)
+    assert augment_balance(one_class, None, noise_sigma=0.5) is one_class
 
 
 def test_augment_deterministic():

@@ -15,11 +15,9 @@ from fedsim.monitoring import (
     DECISION_DEPLOY,
     DECISION_REJECT,
     DeployPolicy,
-    DeploymentSelector,
     MonitorState,
     accrue_incentive,
     decide_deploy,
-    deploy,
     evaluate_global,
     incentive_entries_json,
     monitor_observe,
@@ -98,40 +96,6 @@ def test_policy_validation():
         DeployPolicy(1.5, 1.0)
     with pytest.raises(ValueError):
         DeployPolicy(0.5, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# deployment
-# ---------------------------------------------------------------------------
-
-
-def test_plain_deploy_ships_one_model_to_everyone():
-    record = deploy("g7", list(range(10)))
-    assert record.targets == tuple(range(10))
-    assert set(record.model_ids.values()) == {"g7"}
-
-
-def test_selector_deploy_ships_cluster_models():
-    selector = DeploymentSelector(
-        assignment={0: 0, 1: 0, 2: 1, 3: 1},
-        cluster_models={0: "g9-c0", 1: "g9-c1"},
-    )
-    record = deploy("g9", [0, 1, 2, 3], selector)
-    assert record.model_ids == {0: "g9-c0", 1: "g9-c0", 2: "g9-c1", 3: "g9-c1"}
-    assert len(set(record.model_ids.values())) == 2
-
-
-def test_selector_unknown_cluster_rejected():
-    selector = DeploymentSelector(assignment={0: 0, 1: 7}, cluster_models={0: "m0"})
-    with pytest.raises(ValueError, match="cluster 7"):
-        deploy("g1", [0, 1], selector)
-    with pytest.raises(ValueError, match="no cluster assignment"):
-        deploy("g1", [0, 5], selector)
-
-
-def test_deploy_needs_targets():
-    with pytest.raises(ValueError, match="targets"):
-        deploy("g1", [])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from fedsim import replay_run, runner, wire
 from fedsim.config import parse_config
 from fedsim.errors import ConfigError, DivergenceError, IntegrityError, SelectionStarvationError
 from fedsim.models import ParameterVector, accuracies, evaluate, seq_sum
-from fedsim.monitoring import DeploymentSelector, deploy
 from fedsim.runner import ExperimentRunner, run_experiment
 from payload_archive import read_blobs
 
@@ -163,9 +162,20 @@ def _merge_overflowing_from_wave(wave):
             None,
             NON_FINITE.format(0),
         ),
+        (
+            {"aggregation_mode": "secure", "hp": {"learning_rate": 1e307}},
+            None,
+            NON_FINITE.format(0),
+        ),
+        (
+            # here one client's weighted update already leaves float64
+            {"aggregation_mode": "secure", "hp": {"learning_rate": 3e307}},
+            None,
+            NON_FINITE.format(0),
+        ),
         ({"aggregation_mode": "async"}, 1, NON_FINITE.format(1)),
     ],
-    ids=["training", "fedavg", "hierarchical", "async"],
+    ids=["training", "fedavg", "hierarchical", "secure", "secure-weighting", "async"],
 )
 def test_overflowing_learning_rate_raises_divergence(
     overrides, merge_overflows_from, message, monkeypatch
@@ -452,6 +462,41 @@ def test_deployments_record_local_accuracy(tmp_path):
         assert r["selector"] is False
 
 
+CLUSTER_ROUTED = {
+    "rounds": 2, "n_clients": 8, "seed": 11, "net": {"dropout_prob": 0.0},
+    "arch": {"kind": "mlp", "input_dim": 4, "hidden_dim": 3, "num_classes": 2},
+    "init_mode": "seeded_uniform",
+    "data": {"partition": {"mode": "dirichlet_label_skew", "alpha": 0.1}},
+    "optional_components": ["cluster", "deployment_selector"],
+    "cluster": {"k": 2, "feature_source": "label_distribution"},
+}
+
+
+LABEL_SKEWED_HANDLER = {
+    "n_clients": 4,
+    "rounds": 1,
+    "optional_components": ["heterogeneous_handler"],
+    "data": {"partition": {"mode": "dirichlet_label_skew", "alpha": 0.1}},
+}
+
+
+def test_heterogeneous_handler_balances_label_skewed_shards_over_their_own_classes():
+    # with no augment_target, each shard is balanced over the classes it holds
+    run = ExperimentRunner(parse_config(LABEL_SKEWED_HANDLER))
+    assert any(0 in shard.label_histogram for shard in run.shards)
+    for shard in run.shards:
+        held = [n for n in shard.label_histogram if n > 0]
+        assert max(held) - min(held) <= 0.1 * sum(held)
+    assert run.run().final_version_id == "g1"
+
+
+def test_augment_target_on_a_class_a_shard_lacks_names_key_and_client():
+    raw = dict(LABEL_SKEWED_HANDLER)
+    raw["data"] = {**raw["data"], "augment_target": [1 / 3] * 3}
+    with pytest.raises(ConfigError, match=r"^data\.augment_target: .* client 0 "):
+        ExperimentRunner(parse_config(raw))
+
+
 def test_cluster_routed_deploy_accuracies_equal_evaluate(tmp_path, monkeypatch):
     # each target is scored on the model of its cluster, as evaluate scores it
     returned = []
@@ -462,27 +507,43 @@ def test_cluster_routed_deploy_accuracies_equal_evaluate(tmp_path, monkeypatch):
         return accs
 
     monkeypatch.setattr(runner, "accuracies", recording)
-    raw = {
-        "rounds": 2, "n_clients": 8, "seed": 11, "net": {"dropout_prob": 0.0},
-        "arch": {"kind": "mlp", "input_dim": 4, "hidden_dim": 3, "num_classes": 2},
-        "init_mode": "seeded_uniform",
-        "data": {"partition": {"mode": "dirichlet_label_skew", "alpha": 0.1}},
-        "optional_components": ["cluster", "deployment_selector"],
-        "cluster": {"k": 2, "feature_source": "label_distribution"},
-    }
-    cfg = parse_config(raw)
+    cfg = parse_config(CLUSTER_ROUTED)
     run = ExperimentRunner(cfg, tmp_path / "run")
     run.run()
     assert len(returned) == len(run.deployment_rows) == 2
-    selector = DeploymentSelector(run.cluster_assignment, run.cluster_model_ids)
-    rec = deploy(run.latest_vid, run.registry.active_ids(), selector)
-    assert len(set(rec.model_ids.values())) == 2
+    targets = run.registry.active_ids()
+    models = [run.cluster_models[run.cluster_assignment[t]] for t in targets]
+    assert len({m.values.tobytes() for m in models}) == 2
     want = [
-        evaluate(run._model_params(rec.model_ids[t]), cfg.arch, run.shards[t].test).accuracy
-        for t in rec.targets
+        evaluate(m, cfg.arch, run.shards[t].test).accuracy for m, t in zip(models, targets)
     ]
     assert returned[-1] == want
     assert run.deployment_rows[-1]["local_acc_mean"] == seq_sum(want) / len(want)
+
+
+def test_cluster_models_held_stay_at_cluster_k_however_long_the_run():
+    # the runner keeps one model per cluster, not one per cluster and round;
+    # minted versions are counted apart, in version_params
+    cfg = parse_config({**CLUSTER_ROUTED, "rounds": 12})
+    run = ExperimentRunner(cfg)
+    post_round = run._post_round
+    held = []
+
+    def counting(r):
+        post_round(r)
+        held.append(
+            sum(
+                isinstance(v, ParameterVector)
+                for name, store in vars(run).items()
+                if isinstance(store, dict) and name != "version_params"
+                for v in store.values()
+            )
+        )
+
+    run._post_round = counting
+    run.run()
+    assert len(run.version_params) == 13
+    assert held == [cfg.cluster_k] * 12
 
 
 def test_multitask_freezes_global_head():
@@ -728,7 +789,12 @@ def test_every_import_is_used():
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        # read: loaded, not only bound or deleted
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
