@@ -577,8 +577,20 @@ class VersionLedger:
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "VersionLedger":
+        """The ledger a run wrote. Raises IntegrityError naming the 1-based
+        line, and the version id where it can be read, for a record that is
+        not JSON or fails its checks."""
         ledger = cls()
-        for line in Path(path).read_text().splitlines():
-            if line.strip():
-                ledger.record(record_from_json(json.loads(line)))
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+            if not line.strip():
+                continue
+            obj = None
+            try:
+                obj = json.loads(line)
+                rec = record_from_json(obj)
+            except (KeyError, TypeError, ValueError) as e:
+                vid = obj.get("version_id") if isinstance(obj, dict) else None
+                where = f"ledger line {lineno}" + (f" ({vid})" if vid is not None else "")
+                raise IntegrityError(f"{where}: {type(e).__name__}: {e}") from None
+            ledger.record(rec)
         return ledger

@@ -32,8 +32,6 @@ from .data import ClientShard
 WITHHELD_GATE = "below-threshold"
 WITHHELD_DIVERGENCE = "divergence"
 
-ALLOWED_BITS = (4, 8, 16)
-
 
 @dataclass(frozen=True)
 class ModelPackage:
@@ -68,8 +66,7 @@ class CompressionSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.top_k <= 1.0):
             raise ValueError("top_k must lie in (0, 1]")
-        if self.bits not in ALLOWED_BITS:
-            raise ValueError(f"bits must be one of {ALLOWED_BITS}")
+        wire.code_width(self.bits)  # validates the width
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +82,7 @@ class CompressedUpdate:
     def __post_init__(self) -> None:
         idx = np.asarray(self.indices, dtype=np.int64)
         codes = np.asarray(self.codes, dtype=np.int64)
-        if self.bits not in ALLOWED_BITS:
-            raise ValueError("bits must be one of 4, 8, 16")
+        wire.code_width(self.bits)  # validates the width
         if idx.ndim != 1 or codes.shape != idx.shape:
             raise ValueError("indices and codes must be parallel 1-D arrays")
         if idx.shape[0]:
@@ -330,7 +326,11 @@ def decode_payload_body(update_kind: int, buf: bytes) -> ParameterVector | Compr
 
 
 class ClientRuntime:
-    """Holds one client's shard, gate, compression choice, and private head."""
+    """Holds one client's shard, gate, compression choice, and private head.
+
+    `body_len` is the length of the shared body under multi-task (the
+    arch's shared_parameter_count), None when the whole vector is shared.
+    """
 
     def __init__(
         self,
@@ -338,13 +338,13 @@ class ClientRuntime:
         shard: ClientShard,
         gate: GatePolicy | None = None,
         compression: CompressionSpec | None = None,
-        multitask: bool = False,
+        body_len: int | None = None,
     ) -> None:
         self.client_id = client_id
         self.shard = shard
         self.gate = gate or GatePolicy()
         self.compression = compression
-        self.multitask = multitask
+        self.body_len = body_len
         # the private head under multi-task; never serialized, never uploaded
         self.head: np.ndarray | None = None
 
@@ -360,16 +360,10 @@ class ClientRuntime:
         hp = replace(
             pkg.hp, seed=round_train_seed(pkg.hp.seed, self.client_id, round_index)
         )
-        body_len = None
+        body_len = self.body_len
         start = pkg.params
-        if self.multitask:
-            if pkg.arch.kind != "mlp":
-                raise ValueError("multi-task personalization requires an mlp arch")
-            body_len = pkg.arch.shared_parameter_count
-            if self.head is not None:
-                start = ParameterVector(
-                    np.concatenate([pkg.params.values[:body_len], self.head])
-                )
+        if self.head is not None:
+            start = ParameterVector(np.concatenate([pkg.params.values[:body_len], self.head]))
         # training and compression both raise DivergenceError past float64
         try:
             trained = local_train(start, pkg.arch, self.shard.train, hp)

@@ -101,7 +101,6 @@ class ClientShard:
     client_id: int
     train: Dataset
     test: Dataset
-    label_histogram: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +191,13 @@ def build_block(ss: SyntheticSpec, ids, weights, n_samples: int, streams) -> lis
     test_idx = np.sort(orders[:, :n_test], axis=-1)
     train_x, train_y = scaled[rows, train_idx], labels[rows, train_idx]
     test_x, test_y = scaled[rows, test_idx], labels[rows, test_idx]
-    hist = np.bincount((train_y + k * rows).ravel(), minlength=size * k).reshape(size, k)
     return [
         ClientShard(
             int(cid),
             Dataset._derived(train_x[i], train_y[i], k),
             Dataset._derived(test_x[i], test_y[i], k),
-            tuple(counts),
         )
-        for i, (cid, counts) in enumerate(zip(ids, hist.tolist()))
+        for i, cid in enumerate(ids)
     ]
 
 
@@ -280,10 +277,11 @@ def make_holdout(ss: SyntheticSpec, n_samples: int, seed: int) -> Dataset:
 
 
 def label_distribution(shard: ClientShard) -> np.ndarray:
-    total = sum(shard.label_histogram)
-    if total == 0:
+    """The share of each class among the shard's training labels."""
+    train = shard.train
+    if len(train) == 0:
         raise ValueError("empty shard has no label distribution")
-    return np.asarray(shard.label_histogram, dtype=np.float64) / total
+    return np.bincount(train.labels, minlength=train.num_classes) / len(train)
 
 
 def _tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -350,8 +348,5 @@ def augment_balance(
         counts[c] += 1
 
     train = Dataset(np.concatenate(new_feats), np.concatenate(new_labels), k)
-    hist = np.bincount(train.labels, minlength=k)
-    return replace(
-        shard, train=train, label_histogram=tuple(int(c) for c in hist)
-    )
+    return replace(shard, train=train)
 

@@ -6,7 +6,7 @@ retraining action back to the round loop once it degrades.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .models import ArchDescriptor, Dataset, EvalReport, ParameterVector, evaluate, seq_sum
@@ -74,29 +74,11 @@ def decide_deploy(report: EvalReport, policy: DeployPolicy) -> DeployDecision:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncentiveEntry:
-    round_index: int
-    contribution_share: float
-    rate: float
-    amount: float
-    multiplier: float = 1.0  # per-client negotiated rate hook, fixed for now
-
-
-@dataclass
-class IncentiveAccount:
-    client_id: int
-    balance: float = 0.0
-    history: list[IncentiveEntry] = field(default_factory=list)
-
-
 def accrue_incentive(
-    accounts: dict[int, IncentiveAccount],
-    round_index: int,
-    contributors: list[tuple[int, int]],
-    rate_per_round: float,
-) -> None:
-    """Split one round's credit among contributors by sample share."""
+    round_index: int, contributors: list[tuple[int, int]], rate_per_round: float
+) -> list[dict]:
+    """Split one round's credit among contributors by sample share: one
+    incentives.jsonl row per contributor, in ascending client id."""
     if rate_per_round < 0.0:
         raise ConfigError("incentive rate must be >= 0")
     if not contributors:
@@ -104,32 +86,19 @@ def accrue_incentive(
     total = sum(n for _, n in contributors)
     if total <= 0:
         raise ValueError("contributor sample counts must be positive")
+    rows = []
     for client_id, n in sorted(contributors):
         share = n / total
-        amount = rate_per_round * share
-        account = accounts.get(client_id)
-        if account is None:
-            account = IncentiveAccount(client_id)
-            accounts[client_id] = account
-        account.history.append(IncentiveEntry(round_index, share, rate_per_round, amount))
-        account.balance += amount
-
-
-def incentive_entries_json(accounts: dict[int, IncentiveAccount]) -> list[dict]:
-    rows = []
-    for client_id in sorted(accounts):
-        account = accounts[client_id]
-        for entry in account.history:
-            rows.append(
-                {
-                    "client_id": client_id,
-                    "round": entry.round_index,
-                    "share": entry.contribution_share,
-                    "rate": entry.rate,
-                    "amount": entry.amount,
-                    "multiplier": entry.multiplier,
-                }
-            )
+        rows.append(
+            {
+                "client_id": client_id,
+                "round": round_index,
+                "share": share,
+                "rate": rate_per_round,
+                "amount": rate_per_round * share,
+                "multiplier": 1.0,
+            }
+        )
     return rows
 
 

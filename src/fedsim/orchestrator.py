@@ -207,13 +207,6 @@ class ClusterAssignment:
     inertia: float
 
 
-def _center_and_normalize(x: np.ndarray) -> np.ndarray:
-    centered = x - x.mean(axis=0)
-    norms = np.linalg.norm(centered, axis=1, keepdims=True)
-    safe = np.where(norms > 1e-12, norms, 1.0)
-    return centered / safe
-
-
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     safe = np.where(norms > 1e-12, norms, 1.0)
@@ -261,7 +254,7 @@ def cluster_clients(
         raise ValueError("vectors must be 1-D and of equal length")
     if not (1 <= k <= len(ids)):
         raise ValueError(f"k must lie in [1, {len(ids)}]")
-    rows = _center_and_normalize(raw)
+    rows = _normalize_rows(raw - raw.mean(axis=0))
     rng = np.random.default_rng([seed, CLUSTER_SALT])
     centroids = _plus_plus_init(rows, k, rng)
     labels = np.zeros(len(ids), dtype=np.int64)

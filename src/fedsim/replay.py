@@ -133,6 +133,17 @@ def _decoded_payloads(rec: GlobalVersionRecord, archive) -> dict[int, object]:
 
 
 def _recompute(rec, archive, clean: dict[str, np.ndarray]) -> np.ndarray:
+    """The parameters `rec` stands for, recomputed from its payloads and the
+    clean versions it depends on. A record whose fields cannot be recomputed
+    (a missing or malformed `detail` entry, an unknown base version, a value
+    the aggregation rejects) raises _Mismatch naming the error."""
+    try:
+        return _recompute_values(rec, archive, clean)
+    except (KeyError, TypeError, ValueError) as e:
+        raise _Mismatch(f"record does not recompute: {type(e).__name__}: {e}") from None
+
+
+def _recompute_values(rec, archive, clean: dict[str, np.ndarray]) -> np.ndarray:
     mode = rec.aggregation_mode
     if mode == MODE_INIT:
         blob = archive[rec.params_hash]

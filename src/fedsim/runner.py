@@ -11,8 +11,9 @@ byte-identical artifacts (run_meta.json, which records wall-clock
 timestamps, is the single exception).
 
 Three rules have one owner each. The multi-task segment belongs to
-client's update_core, dense_update and with_head, keyed by `body_len` and
-shared with replay. A non-finite aggregate raises NonFiniteError, which
+client's update_core, dense_update and with_head, keyed by `body_len`: the
+runner derives it once from the arch, hands it to each ClientRuntime and
+records it in the ledger for replay. A non-finite aggregate raises NonFiniteError, which
 `run` turns into one DivergenceError naming the round `_begin_round` opened
 last (in async, the open wave). A round's metrics counters are added where
 their events happen (`_send`, `_select`, `_mint`); `_post_round` reads and
@@ -108,7 +109,6 @@ from .monitoring import (
     accrue_incentive,
     decide_deploy,
     evaluate_global,
-    incentive_entries_json,
     monitor_observe,
 )
 from .orchestrator import ClientRegistry, cluster_clients, create_job, select_clients
@@ -157,14 +157,14 @@ class ExperimentRunner:
 
     def _setup(self) -> None:
         cfg = self.cfg
-        self.shards = partition(cfg.partition_spec, cfg.synthetic, cfg.n_clients)
+        shards = partition(cfg.partition_spec, cfg.synthetic, cfg.n_clients)
         if cfg.has(FLAG_HETEROGENEOUS):
-            self.shards = [
+            shards = [
                 augment_balance(s, cfg.augment_target, cfg.synthetic.noise_sigma, seed=cfg.seed)
-                for s in self.shards
+                for s in shards
             ]
         # shard sizes are known only once the split has run
-        smallest = min(self.shards, key=lambda s: len(s.train))
+        smallest = min(shards, key=lambda s: len(s.train))
         if cfg.hp.batch_size > len(smallest.train):
             raise ConfigError(
                 f"hp.batch_size {cfg.hp.batch_size} exceeds the smallest training shard "
@@ -175,22 +175,21 @@ class ExperimentRunner:
 
         self.registry = ClientRegistry()
         resources = wire.id_streams([cfg.seed, RESOURCE_SALT, np.arange(cfg.n_clients)])
-        for shard, (cid, rng) in zip(self.shards, resources):
+        for shard, (cid, rng) in zip(shards, resources):
             self.registry.register(cid, float(rng.uniform()), len(shard.train), 0.0)
 
-        multitask = cfg.has(FLAG_MULTITASK)
+        # the length of the shared body an update covers; None: the whole vector
+        self.body_len = cfg.arch.shared_parameter_count if cfg.has(FLAG_MULTITASK) else None
         self.runtimes = {
             cid: ClientRuntime(
                 cid,
                 shard,
                 gate=cfg.gate,
                 compression=cfg.compression,
-                multitask=multitask,
+                body_len=self.body_len,
             )
-            for cid, shard in enumerate(self.shards)
+            for cid, shard in enumerate(shards)
         }
-        # the length of the shared body an update covers; None: the whole vector
-        self.body_len = cfg.arch.shared_parameter_count if multitask else None
 
         pkg = create_job(cfg.arch, cfg.hp, cfg.init_mode)
         self.ledger = VersionLedger()
@@ -217,7 +216,6 @@ class ExperimentRunner:
         )
         self.version_params: dict[str, ParameterVector] = {ROOT_VERSION: pkg.params}
         self.latest_vid = ROOT_VERSION
-        self._next_version_n = 1
 
         self.cluster_assignment: dict[int, int] | None = None
         # cluster index -> the model deployed to its members, replaced
@@ -235,7 +233,7 @@ class ExperimentRunner:
             cooldown_rounds=cfg.monitor_cooldown,
         )
         self._monitor_params: ParameterVector | None = None
-        self.accounts: dict = {}
+        self.incentive_rows: list[dict] = []
 
         self.clock = 0.0
         self.metrics: list[dict] = []
@@ -254,13 +252,13 @@ class ExperimentRunner:
     def _cluster_features(self) -> dict[int, np.ndarray]:
         cfg = self.cfg
         if cfg.cluster_features == "label_distribution":
-            return {cid: label_distribution(s) for cid, s in enumerate(self.shards)}
+            return {cid: label_distribution(rt.shard) for cid, rt in self.runtimes.items()}
         # update_direction: probe one local train from the initial model
         init = self.version_params[ROOT_VERSION]
         vectors = {}
-        for cid, shard in enumerate(self.shards):
+        for cid, rt in self.runtimes.items():
             hp = replace(cfg.hp, seed=round_train_seed(cfg.hp.seed, cid, _PROBE_ROUND))
-            trained = local_train(init, cfg.arch, shard.train, hp)
+            trained = local_train(init, cfg.arch, rt.shard.train, hp)
             vectors[cid] = trained.values - init.values
         return vectors
 
@@ -313,16 +311,10 @@ class ExperimentRunner:
         frac = cfg.drift_flip_fraction
         # the clients' streams, then the monitor stream's under id n_clients
         streams = wire.id_streams([cfg.seed, DRIFT_SALT, np.arange(cfg.n_clients + 1)])
-        for shard, (cid, rng) in zip(self.shards, streams):
-            train = _flip_labels(shard.train, frac, rng)
-            test = _flip_labels(shard.test, frac, rng)
-            hist = np.bincount(train.labels, minlength=cfg.arch.num_classes)
-            drifted = replace(
-                shard, train=train, test=test,
-                label_histogram=tuple(int(c) for c in hist),
-            )
-            self.shards[cid] = drifted
-            self.runtimes[cid].shard = drifted
+        for rt, (_, rng) in zip(self.runtimes.values(), streams):
+            train = _flip_labels(rt.shard.train, frac, rng)
+            test = _flip_labels(rt.shard.test, frac, rng)
+            rt.shard = replace(rt.shard, train=train, test=test)
         _, rng = next(streams)
         self.monitor_stream = _flip_labels(self.monitor_stream, frac, rng)
         self._log({"event": "drift_injected", "round": r, "flip_fraction": frac})
@@ -369,8 +361,7 @@ class ExperimentRunner:
         )
 
     def _mint(self, params, contributors, r, mode, detail) -> None:
-        vid = wire.format_version(self._next_version_n)
-        self._next_version_n += 1
+        vid = wire.format_version(len(self.ledger))
         self._tally[r]["n_received"] += len(contributors)
         segment = SEGMENT_FULL
         if self.body_len is not None:
@@ -401,7 +392,7 @@ class ExperimentRunner:
         )
         if self.cfg.has(FLAG_INCENTIVES):
             shares = [(c.client_id, c.n_samples) for c in contributors]
-            accrue_incentive(self.accounts, r, shares, self.cfg.incentive_rate)
+            self.incentive_rows += accrue_incentive(r, shares, self.cfg.incentive_rate)
 
     def _package(self) -> ModelPackage:
         return ModelPackage(
@@ -841,7 +832,9 @@ class ExperimentRunner:
         if cfg.has(FLAG_REGISTRY):
             self.registry.write_jsonl(out / "registry.jsonl")
         if cfg.has(FLAG_INCENTIVES):
-            wire.write_jsonl(out / "incentives.jsonl", incentive_entries_json(self.accounts))
+            # each client's rows in the order they accrued
+            rows = sorted(self.incentive_rows, key=lambda row: row["client_id"])
+            wire.write_jsonl(out / "incentives.jsonl", rows)
         save_checkpoint(out / "checkpoint.json", self.version_params[self.latest_vid], cfg.arch)
         meta = {
             "run_id": cfg.run_id,

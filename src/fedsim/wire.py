@@ -50,8 +50,9 @@ K_UPDATE_SPARSE4 = 8
 K_UPDATE_SPARSE8 = 9
 K_UPDATE_SPARSE16 = 10
 
-_UPDATE_SPARSE_BITS = {K_UPDATE_SPARSE4: 4, K_UPDATE_SPARSE8: 8, K_UPDATE_SPARSE16: 16}
+# the sparse code widths, each with its kind: the one declaration of both
 UPDATE_SPARSE_KIND_BY_BITS = {4: K_UPDATE_SPARSE4, 8: K_UPDATE_SPARSE8, 16: K_UPDATE_SPARSE16}
+_UPDATE_SPARSE_BITS = {kind: bits for bits, kind in UPDATE_SPARSE_KIND_BY_BITS.items()}
 
 # wire sender ids for non-client actors; clients use their own id
 SERVER_SENDER = 0xFFFFFFFF
@@ -68,8 +69,8 @@ BASE_VERSION_SIZE = 4
 
 
 def code_width(bits: int) -> int:
-    if bits not in (4, 8, 16):
-        raise ValueError("bits must be one of 4, 8, 16")
+    if bits not in UPDATE_SPARSE_KIND_BY_BITS:
+        raise ValueError(f"bits must be one of {tuple(UPDATE_SPARSE_KIND_BY_BITS)}")
     return (bits + 7) // 8
 
 

@@ -272,21 +272,15 @@ def _mlp_pkg():
 def test_personalize_zero_rate_is_identity():
     pkg = _mlp_pkg()
     pkg = replace(pkg, hp=replace(pkg.hp, learning_rate=0.0))
-    rt = ClientRuntime(0, _shard(), multitask=True)
+    rt = ClientRuntime(0, _shard(), body_len=MLP.shared_parameter_count)
     env = rt.handle_broadcast(pkg, round_index=1)
     cut = MLP.shared_parameter_count
     assert np.array_equal(env.payload.values, pkg.params.values[:cut])
     assert np.array_equal(rt.head, pkg.params.values[cut:])
 
 
-def test_personalize_rejects_logistic():
-    rt = ClientRuntime(0, _shard(), multitask=True)
-    with pytest.raises(ValueError, match="mlp"):
-        rt.handle_broadcast(_pkg(), round_index=1)
-
-
 def test_multitask_envelope_contains_exactly_shared_len_values():
-    rt = ClientRuntime(0, _shard(), multitask=True)
+    rt = ClientRuntime(0, _shard(), body_len=MLP.shared_parameter_count)
     env = rt.handle_broadcast(_mlp_pkg(), round_index=1)
     assert not isinstance(env, Withheld)
     assert len(env.payload) == MLP.shared_parameter_count
@@ -295,7 +289,7 @@ def test_multitask_envelope_contains_exactly_shared_len_values():
 
 
 def test_private_head_never_serializes():
-    rt = ClientRuntime(0, _shard(), multitask=True)
+    rt = ClientRuntime(0, _shard(), body_len=MLP.shared_parameter_count)
     pkg = _mlp_pkg()
     env = rt.handle_broadcast(pkg, round_index=1)
     for buf in (encode_payload_body(env.payload), _reference_envelope(env)):
@@ -308,7 +302,7 @@ def test_personal_params_assembles_body_and_head():
     # own head, not to the broadcast head
     pkg = _mlp_pkg()
     cut = MLP.shared_parameter_count
-    rt = ClientRuntime(0, _shard(), multitask=True)
+    rt = ClientRuntime(0, _shard(), body_len=MLP.shared_parameter_count)
     rt.handle_broadcast(pkg, round_index=1)
     own_head = rt.head
     assert not np.array_equal(own_head, pkg.params.values[cut:])

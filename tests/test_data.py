@@ -40,6 +40,14 @@ def _labels(shard):
     return np.concatenate([shard.train.labels, shard.test.labels])
 
 
+def _train_counts(shard):
+    """The shard's train label counts, counted directly; label_distribution
+    must give exactly these over the train size."""
+    counts = np.bincount(shard.train.labels, minlength=shard.train.num_classes)
+    assert np.array_equal(label_distribution(shard), counts / len(shard.train))
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # collect
 # ---------------------------------------------------------------------------
@@ -120,9 +128,9 @@ def test_iid_partition_histograms_match_uniform():
     stat = 0.0
     df = 0
     for shard in shards:
-        n = sum(shard.label_histogram)
-        expected = n / k
-        stat += sum((c - expected) ** 2 / expected for c in shard.label_histogram)
+        counts = _train_counts(shard)
+        expected = counts.sum() / k
+        stat += sum((c - expected) ** 2 / expected for c in counts)
         df += k - 1
     assert stat < scipy_stats.chi2.ppf(0.999, df)
 
@@ -183,7 +191,7 @@ def test_shard_regeneration_is_client_local():
     alone = _one(SS, 2, weights[2], int(counts[2]))
     assert np.array_equal(alone.train.features, shards[2].train.features)
     assert np.array_equal(alone.test.features, shards[2].test.features)
-    assert alone.label_histogram == shards[2].label_histogram
+    assert np.array_equal(_train_counts(alone), _train_counts(shards[2]))
 
 
 def _reference_shard(ss, client_id, weights, n_samples):
@@ -244,7 +252,7 @@ def test_partition_equals_validated_reference(ps):
             for cid, shard in enumerate(shards):
                 train, test = _reference_shard(ss, cid, weights[cid], int(counts[cid]))
                 hist = np.bincount(train.labels, minlength=3)
-                assert shard.label_histogram == tuple(hist.tolist())
+                assert np.array_equal(_train_counts(shard), hist)
                 for got, want in ((shard.train, train), (shard.test, test)):
                     assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
                     assert np.array_equal(got.features, want.features)
@@ -274,8 +282,7 @@ def test_split_sizes_and_histogram():
     shard = _one(SS, 0, [1 / 3] * 3, 120)
     assert len(shard.test) == 24
     assert len(shard.train) == 96
-    hist = np.bincount(shard.train.labels, minlength=3)
-    assert shard.label_histogram == tuple(int(c) for c in hist)
+    assert _train_counts(shard).sum() == 96
 
 
 def test_split_single_sample_keeps_train():
@@ -293,9 +300,8 @@ def _skewed_shard(n0=90, n1=10):
     feats = rng.normal(size=(n0 + n1, 3))
     labels = np.array([0] * n0 + [1] * n1)
     train = Dataset(feats, labels, 2)
-    hist = tuple(np.bincount(labels, minlength=2).tolist())
     empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
-    return ClientShard(0, train, empty, hist)
+    return ClientShard(0, train, empty)
 
 
 def test_augment_noop_when_already_balanced():
@@ -317,7 +323,7 @@ def test_augment_respects_duplication_cap():
     shard = _skewed_shard(990, 1)
     out = augment_balance(shard, [0.5, 0.5], noise_sigma=0.5, seed=3)
     # the single class-1 sample can grow to at most 10 copies
-    assert out.label_histogram[1] == 10
+    assert _train_counts(out)[1] == 10
     dist = label_distribution(out)
     assert 0.5 * np.abs(dist - 0.5).sum() > 0.05
 
@@ -334,7 +340,7 @@ def test_augment_default_target_is_uniform_over_held_classes():
     default = augment_balance(shard, None, noise_sigma=0.5, seed=3)
     uniform = augment_balance(shard, [0.5, 0.5], noise_sigma=0.5, seed=3)
     assert default.train.features.tobytes() == uniform.train.features.tobytes()
-    assert default.label_histogram == uniform.label_histogram
+    assert np.array_equal(_train_counts(default), _train_counts(uniform))
     # one that lacks a class is balanced over the rest, not rejected
     one_class = _skewed_shard(100, 0)
     assert augment_balance(one_class, None, noise_sigma=0.5) is one_class
@@ -361,7 +367,7 @@ def test_label_distribution_empty_rejected():
     shard = _skewed_shard(50, 50)
     empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
     from dataclasses import replace
-    bad = replace(shard, train=empty, label_histogram=(0, 0))
+    bad = replace(shard, train=empty)
     with pytest.raises(ValueError, match="empty"):
         label_distribution(bad)
 

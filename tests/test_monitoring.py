@@ -19,7 +19,6 @@ from fedsim.monitoring import (
     accrue_incentive,
     decide_deploy,
     evaluate_global,
-    incentive_entries_json,
     monitor_observe,
 )
 
@@ -104,31 +103,31 @@ def test_policy_validation():
 
 
 def test_single_contributor_gets_full_rate():
-    accounts = {}
-    accrue_incentive(accounts, 0, [(3, 42)], rate_per_round=2.5)
-    assert accounts[3].balance == 2.5
-    assert accounts[3].history[0].contribution_share == 1.0
+    (row,) = accrue_incentive(0, [(3, 42)], rate_per_round=2.5)
+    assert row["client_id"] == 3 and row["amount"] == 2.5
+    assert row["share"] == 1.0
 
 
 def test_shares_split_by_sample_count():
-    accounts = {}
-    accrue_incentive(accounts, 0, [(0, 1), (1, 3)], rate_per_round=4.0)
-    assert accounts[0].balance == pytest.approx(1.0, abs=1e-12)
-    assert accounts[1].balance == pytest.approx(3.0, abs=1e-12)
+    rows = accrue_incentive(0, [(0, 1), (1, 3)], rate_per_round=4.0)
+    assert [row["client_id"] for row in rows] == [0, 1]
+    assert rows[0]["amount"] == pytest.approx(1.0, abs=1e-12)
+    assert rows[1]["amount"] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_negative_rate_rejected():
     with pytest.raises(ConfigError, match="rate"):
-        accrue_incentive({}, 0, [(0, 1)], rate_per_round=-0.5)
+        accrue_incentive(0, [(0, 1)], rate_per_round=-0.5)
 
 
 def test_incentive_rows_export():
-    accounts = {}
-    accrue_incentive(accounts, 0, [(1, 5), (2, 5)], rate_per_round=1.0)
-    accrue_incentive(accounts, 1, [(1, 5)], rate_per_round=1.0)
-    rows = incentive_entries_json(accounts)
+    rows = accrue_incentive(0, [(2, 5), (1, 5)], rate_per_round=1.0)
+    rows += accrue_incentive(1, [(1, 5)], rate_per_round=1.0)
     assert len(rows) == 3
-    assert rows[0]["client_id"] == 1 and rows[0]["multiplier"] == 1.0
+    assert [(row["client_id"], row["round"]) for row in rows] == [(1, 0), (2, 0), (1, 1)]
+    assert rows[0] == {
+        "client_id": 1, "round": 0, "share": 0.5, "rate": 1.0, "amount": 0.5, "multiplier": 1.0
+    }
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 10.0))
@@ -136,12 +135,12 @@ def test_incentive_rows_export():
 def test_round_credit_is_conserved(seed, count, rate):
     rng = np.random.default_rng(seed)
     contributors = [(int(cid), int(rng.integers(1, 400))) for cid in range(count)]
-    accounts = {}
-    accrue_incentive(accounts, 0, contributors, rate_per_round=rate)
-    issued = sum(a.balance for a in accounts.values())
+    rows = accrue_incentive(0, contributors, rate_per_round=rate)
+    assert sorted(row["client_id"] for row in rows) == list(range(count))
+    issued = sum(row["amount"] for row in rows)
     assert abs(issued - rate) <= 1e-9
-    for account in accounts.values():
-        assert abs(account.balance - sum(e.amount for e in account.history)) <= 1e-9
+    for row in rows:
+        assert row["rate"] == rate and row["amount"] == rate * row["share"]
 
 
 # ---------------------------------------------------------------------------

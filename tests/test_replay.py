@@ -2,13 +2,14 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from fedsim import replay, wire
 from fedsim.aggregation import VersionLedger
 from fedsim.cli import main
-from fedsim.config import parse_config
+from fedsim.config import load_config, parse_config
 from fedsim.errors import ArchiveError, IntegrityError
 from fedsim.replay import (
     STATUS_HASH_MISMATCH,
@@ -402,3 +403,120 @@ def test_payload_store_reads_on_demand_and_is_read_only(tmp_path):
     assert archive[names[0]] == edited
     with pytest.raises(TypeError):
         archive[names[0]] = b"x"
+
+
+# ---------------------------------------------------------------------------
+# malformed ledger records
+# ---------------------------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The artifact directory of a golden config, run once per module."""
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            runs[name] = tmp_path_factory.mktemp(name) / "run"
+            run_experiment(load_config(GOLDEN_DIR / f"{name}.json"), runs[name])
+        return runs[name]
+
+    return get
+
+
+def _tampered_ledger(out, tmp_path, edit):
+    """A copy of the run's ledger with `edit` applied to g1's record."""
+    rows = [json.loads(line) for line in (out / "ledger.jsonl").read_text().splitlines()]
+    edit(next(r for r in rows if r["version_id"] == "g1"))
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+    return path
+
+
+@pytest.mark.parametrize(
+    "golden, edit, error",
+    [
+        ("g06_async_waves", lambda r: r["detail"].update(alpha0=2.0), "async_alpha0 must lie in"),
+        ("g06_async_waves", lambda r: r["detail"].update(base_round=5), "base_round is ahead"),
+        ("g06_async_waves", lambda r: r["detail"].pop("decay"), "KeyError: 'decay'"),
+        (
+            "g06_async_waves",
+            lambda r: r["contributors"][0].update(base_version="g99"),
+            "KeyError: 'g99'",
+        ),
+        ("g05_gossip_ring", lambda r: r["detail"].update(edges=[[0, 0]]), "self-loop at node 0"),
+        ("g05_gossip_ring", lambda r: r["detail"].update(edges=[[0, 1]]), "not connected"),
+        ("g05_gossip_ring", lambda r: r["detail"].update(steps=-1), "steps must be >= 0"),
+        (
+            "g04_hierarchical_compressed",
+            lambda r: r["detail"].update(groups=[]),
+            "no edge groups given",
+        ),
+        (
+            "g04_hierarchical_compressed",
+            lambda r: r["detail"].update(groups=[[0, []]]),
+            "has no members",
+        ),
+    ],
+    ids=[
+        "async-alpha0",
+        "async-base-round",
+        "async-no-decay",
+        "async-unknown-base",
+        "gossip-self-loop",
+        "gossip-disconnected",
+        "gossip-negative-steps",
+        "hierarchical-no-groups",
+        "hierarchical-empty-group",
+    ],
+)
+def test_record_that_does_not_recompute_is_a_verdict(
+    golden_run, tmp_path, capsys, golden, edit, error
+):
+    out = golden_run(golden)
+    ledger_path = _tampered_ledger(out, tmp_path, edit)
+    checks = replay_run(ledger_path, out / "payloads")
+    assert checks == _eager_verify(VersionLedger.read_jsonl(ledger_path), out / "payloads")
+    status = {c.version_id: c.status for c in checks}
+    assert status["g0"] == STATUS_MATCH and status["g1"] == STATUS_HASH_MISMATCH
+    assert len(status) > 2
+    assert all(status[v] == STATUS_TAINTED_PARENT for v in list(status)[2:])
+    assert error in checks[1].note
+
+    # the CLI prints every verdict and exits 1, not as a config error
+    code = main(["replay", "--ledger", str(ledger_path), "--archive", str(out / "payloads")])
+    printed = capsys.readouterr().out
+    assert code == 1
+    assert all(f"{c.version_id}: {c.status}" in printed for c in checks)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda r: r.update(mode="bogus"), "unknown aggregation_mode 'bogus'"),
+        (lambda r: r["contributors"][0].update(n_samples=0), "n_samples must be positive"),
+        (lambda r: r.pop("params_hash"), "KeyError: 'params_hash'"),
+    ],
+    ids=["unknown-mode", "zero-samples", "missing-field"],
+)
+def test_record_that_fails_its_checks_names_its_line(golden_run, tmp_path, edit, error):
+    out = golden_run("g03_secure_gated")
+    ledger_path = _tampered_ledger(out, tmp_path, edit)
+    with pytest.raises(IntegrityError, match=r"^ledger line 2 \(g1\): ") as err:
+        VersionLedger.read_jsonl(ledger_path)
+    assert error in str(err.value)
+
+
+def test_ledger_line_that_is_not_json_names_its_line(golden_run, tmp_path, capsys):
+    out = golden_run("g03_secure_gated")
+    lines = (out / "ledger.jsonl").read_text().splitlines()
+    lines[1] = lines[1][:-1]
+    ledger_path = tmp_path / "ledger.jsonl"
+    ledger_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IntegrityError, match=r"^ledger line 2: JSONDecodeError: "):
+        VersionLedger.read_jsonl(ledger_path)
+    code = main(["replay", "--ledger", str(ledger_path), "--archive", str(out / "payloads")])
+    assert code == 1
+    assert "IntegrityError: ledger line 2: " in capsys.readouterr().err

@@ -419,6 +419,21 @@ def test_drift_trips_monitor_then_boosts_next_round():
     assert out_rows[3]["global_acc"] == pytest.approx(out_rows[2]["global_acc"], abs=0.05)
 
 
+def test_drift_flips_the_labels_of_the_shard_each_client_trains_on():
+    cfg = _cfg(
+        rounds=4,
+        optional_components=["monitor"],
+        monitor={"drift_round": 2, "drift_flip_fraction": 0.5},
+    )
+    run = ExperimentRunner(cfg)
+    before = {cid: rt.shard for cid, rt in run.runtimes.items()}
+    run.run()
+    for cid, rt in run.runtimes.items():
+        for got, was in ((rt.shard.train, before[cid].train), (rt.shard.test, before[cid].test)):
+            assert np.array_equal(got.features, was.features)
+            assert not np.array_equal(got.labels, was.labels)
+
+
 def test_incentive_total_matches_minted_versions(tmp_path):
     cfg = _cfg(
         net={"dropout_prob": 0.0},
@@ -434,6 +449,9 @@ def test_incentive_total_matches_minted_versions(tmp_path):
     assert sum(r["amount"] for r in rows) == pytest.approx(2.5 * minted)
     for r in rows:
         assert r["rate"] == 2.5
+    # by client, and each client's rows in the rounds they accrued
+    keys = [(r["client_id"], r["round"]) for r in rows]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_registry_artifact_counts_participation(tmp_path):
@@ -483,9 +501,11 @@ LABEL_SKEWED_HANDLER = {
 def test_heterogeneous_handler_balances_label_skewed_shards_over_their_own_classes():
     # with no augment_target, each shard is balanced over the classes it holds
     run = ExperimentRunner(parse_config(LABEL_SKEWED_HANDLER))
-    assert any(0 in shard.label_histogram for shard in run.shards)
-    for shard in run.shards:
-        held = [n for n in shard.label_histogram if n > 0]
+    shards = [rt.shard for rt in run.runtimes.values()]
+    counts = [np.bincount(s.train.labels, minlength=s.train.num_classes) for s in shards]
+    assert any(0 in c for c in counts)
+    for c in counts:
+        held = c[c > 0]
         assert max(held) - min(held) <= 0.1 * sum(held)
     assert run.run().final_version_id == "g1"
 
@@ -515,7 +535,8 @@ def test_cluster_routed_deploy_accuracies_equal_evaluate(tmp_path, monkeypatch):
     models = [run.cluster_models[run.cluster_assignment[t]] for t in targets]
     assert len({m.values.tobytes() for m in models}) == 2
     want = [
-        evaluate(m, cfg.arch, run.shards[t].test).accuracy for m, t in zip(models, targets)
+        evaluate(m, cfg.arch, run.runtimes[t].shard.test).accuracy
+        for m, t in zip(models, targets)
     ]
     assert returned[-1] == want
     assert run.deployment_rows[-1]["local_acc_mean"] == seq_sum(want) / len(want)
