@@ -11,12 +11,17 @@ accuracy) accumulate strictly left to right so independent re-computation
 can reproduce them.
 
 One kernel, `_sgd_kernel`, computes a batch's loss and gradient for
-`local_train`, on per-layer (weights, bias) views of a raw float64 array.
-Its order: one forward pass to the logits; the row max m, exp(logits - m)
-and the row sums s, which give both the per-sample cross-entropy
-m + log(s) - logit[label] and the probabilities exp(...) / s; the mean
-loss; the backward pass, adding l2 * weights to each weight gradient last.
-`local_train` updates its views in place, `w -= lr * gw`.
+`local_train`, reading the parameters through per-layer (weights, bias)
+views of a raw float64 array. Its order: one forward pass to the logits;
+the row max m, exp(logits - m) and the row sums s, which give both the
+per-sample cross-entropy m + log(s) - logit[label] and the probabilities
+exp(...) / s; the mean loss; the backward pass, adding l2 * weights to each
+weight gradient last. The gradient goes into one flat buffer with the
+parameters' layout, each layer's written in place through views of it, so
+`local_train` updates all parameters at once, `current -= lr * grad`, and
+checks once per batch that they and the loss are still finite. Only when
+they are not does it test the gradient, then the loss, to name in the
+error the first of gradient, loss and parameters that is non-finite.
 """
 
 from __future__ import annotations
@@ -272,12 +277,17 @@ def _logits(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
     return hidden @ w2 + b2, hidden
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Per-sample cross-entropy, exp(logits - row max) and its row sums."""
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray | None = None):
+    """Per-sample cross-entropy, exp(logits - row max) and its row sums.
+
+    `rows` is np.arange(len(labels)), passed by a caller that reuses it.
+    """
+    if rows is None:
+        rows = np.arange(labels.shape[0])
     m = logits.max(axis=1, keepdims=True)
     expd = np.exp(logits - m)
     sums = expd.sum(axis=1, keepdims=True)
-    ce = m[:, 0] + np.log(sums[:, 0]) - logits[np.arange(labels.shape[0]), labels]
+    ce = m[:, 0] + np.log(sums[:, 0]) - logits[rows, labels]
     return ce, expd, sums
 
 
@@ -290,38 +300,46 @@ def _penalty(flat: np.ndarray, mask: np.ndarray | None, l2: float) -> float:
 
 
 def _sgd_kernel(
-    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, labels: np.ndarray, l2: float
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    grads: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    labels: np.ndarray,
+    l2: float,
+) -> float:
     """One forward and one backward pass over a batch.
 
-    Returns the mean cross-entropy, without the penalty, and the per-layer
-    (weights, bias) gradients of mean cross-entropy plus (l2/2)*||weights||^2.
+    Returns the mean cross-entropy, without the penalty. Writes the gradient
+    of mean cross-entropy plus (l2/2)*||weights||^2 into `grads`, per-layer
+    (weights, bias) views of one flat buffer in the parameters' layout: each
+    product and bias sum lands in its view through `out=`, and the penalty
+    term is added in place last. Every entry is overwritten, so the buffer
+    needs no clearing between batches.
     """
     n = labels.shape[0]
+    rows = np.arange(n)
     logits, hidden = _logits(layers, x)
-    ce, dlogits, sums = _cross_entropy(logits, labels)
+    ce, dlogits, sums = _cross_entropy(logits, labels, rows)
     loss = seq_sum(ce.tolist()) / n
     dlogits /= sums  # softmax probabilities
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
 
     if hidden is None:
-        gw = x.T @ dlogits
-        if l2 != 0.0:
-            gw = gw + l2 * layers[0][0]
-        return loss, [(gw, dlogits.sum(axis=0))]
-
-    (w1, _b1), (w2, _b2) = layers
-    gw2 = hidden.T @ dlogits
-    gb2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ w2.T
-    dpre = dhidden * (1.0 - hidden * hidden)
-    gw1 = x.T @ dpre
-    gb1 = dpre.sum(axis=0)
+        ((gw, gb),) = grads
+        np.matmul(x.T, dlogits, out=gw)
+        dlogits.sum(axis=0, out=gb)
+    else:
+        (gw1, gb1), (gw2, gb2) = grads
+        np.matmul(hidden.T, dlogits, out=gw2)
+        dlogits.sum(axis=0, out=gb2)
+        dpre = dlogits @ layers[1][0].T
+        dpre *= 1.0 - hidden * hidden
+        np.matmul(x.T, dpre, out=gw1)
+        dpre.sum(axis=0, out=gb1)
     if l2 != 0.0:
-        gw1 = gw1 + l2 * w1
-        gw2 = gw2 + l2 * w2
-    return loss, [(gw1, gb1), (gw2, gb2)]
+        for (w, _), (gw, _) in zip(layers, grads):
+            gw += l2 * w
+    return loss
 
 
 def evaluate(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> EvalReport:
@@ -393,27 +411,30 @@ def local_train(
         raise ValueError(f"batch_size {hp.batch_size} exceeds shard size {n}")
     _check_fit(arch, data, "data")
     current = params.values.copy()
+    grad = np.empty_like(current)
     layers = _layers(current, arch)
+    grads = _layers(grad, arch)
     mask = weight_mask(arch) if hp.l2 != 0.0 else None
     rng = np.random.default_rng(hp.seed)
-    # overflow poisons the loss, gradient or parameters; the checks below name it
+    # overflow poisons the loss, gradient or parameters; the check below names it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(hp.epochs):
             order = rng.permutation(n)
             for bi, start in enumerate(range(0, n, hp.batch_size)):
                 idx = order[start : start + hp.batch_size]
-                loss, grads = _sgd_kernel(layers, data.features[idx], data.labels[idx], hp.l2)
+                loss = _sgd_kernel(layers, grads, data.features[idx], data.labels[idx], hp.l2)
                 loss += _penalty(current, mask, hp.l2)
-                at = f"at epoch {epoch + 1} batch {bi + 1}"
-                if not all(np.isfinite(g).all() for pair in grads for g in pair):
-                    raise DivergenceError(f"non-finite gradient {at}")
-                if not math.isfinite(loss):
-                    raise DivergenceError(f"non-finite loss {at}")
-                for (w, b), (gw, gb) in zip(layers, grads):
-                    w -= hp.learning_rate * gw
-                    b -= hp.learning_rate * gb
-                if not np.isfinite(current).all():
-                    raise DivergenceError(f"non-finite parameters {at}")
+                current -= hp.learning_rate * grad
+                # a non-finite gradient always leaves the update non-finite,
+                # lr 0 included (0 * inf is nan), so one check covers all three
+                if not (math.isfinite(loss) and np.isfinite(current).all()):
+                    if not np.isfinite(grad).all():
+                        what = "gradient"
+                    elif not math.isfinite(loss):
+                        what = "loss"
+                    else:
+                        what = "parameters"
+                    raise DivergenceError(f"non-finite {what} at epoch {epoch + 1} batch {bi + 1}")
     return ParameterVector(current)
 
 

@@ -142,7 +142,7 @@ def _flip_labels(ds: Dataset, fraction: float, rng: np.random.Generator) -> Data
     offsets = rng.integers(1, ds.num_classes, size=n)
     labels = ds.labels.copy()
     labels[pick] = (labels[pick] + offsets[pick]) % ds.num_classes
-    return Dataset(ds.features, labels, ds.num_classes)
+    return Dataset._derived(ds.features, labels, ds.num_classes)
 
 
 class ExperimentRunner:

@@ -1,10 +1,10 @@
 """Gradient references for the tests.
 
-fedsim trains through `models.local_train` and never needs a flat gradient
-or a numerical one. The tests check the SGD kernel against both, so the
-references live here: the exact gradient of the training objective from
-`models._sgd_kernel`, and central finite differences of the same objective
-computed from the per-sample loss alone.
+fedsim trains through `models.local_train` and never needs a gradient on
+its own, nor a numerical one. The tests check the SGD kernel against both,
+so the references live here: the exact gradient of the training objective,
+the flat buffer `models._sgd_kernel` writes, and central finite differences
+of the same objective computed from the per-sample loss alone.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from fedsim.models import (
     ParameterVector,
     _check_fit,
     _cross_entropy,
+    _layers,
     _logits,
     _penalty,
     _sgd_kernel,
@@ -26,15 +27,6 @@ from fedsim.models import (
     unpack,
     weight_mask,
 )
-
-
-def pack(layers: list[tuple[np.ndarray, np.ndarray]]) -> ParameterVector:
-    """Inverse of models.unpack: per-layer (weights, bias) to one flat vector."""
-    parts = []
-    for w, b in layers:
-        parts.append(np.asarray(w, dtype=np.float64).reshape(-1))
-        parts.append(np.asarray(b, dtype=np.float64).reshape(-1))
-    return ParameterVector(np.concatenate(parts))
 
 
 def _per_sample_ce(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> np.ndarray:
@@ -56,9 +48,10 @@ def loss_and_gradient(
     if len(batch) == 0:
         raise ValueError("empty batch")
     _check_fit(arch, batch, "batch")
-    loss, grads = _sgd_kernel(unpack(params, arch), batch.features, batch.labels, l2)
+    grad = np.empty(arch.parameter_count)
+    loss = _sgd_kernel(unpack(params, arch), _layers(grad, arch), batch.features, batch.labels, l2)
     loss += _penalty(params.values, weight_mask(arch), l2)
-    return loss, pack(grads)
+    return loss, ParameterVector(grad)
 
 
 def central_difference(f: Callable[[np.ndarray], float], w: np.ndarray, eps: float) -> np.ndarray:

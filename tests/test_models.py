@@ -12,6 +12,7 @@ from fedsim.models import (
     EvalReport,
     Hyperparameters,
     ParameterVector,
+    _layers,
     accuracies,
     evaluate,
     init_params,
@@ -27,7 +28,6 @@ from gradcheck import (
     central_difference,
     finite_difference_gradient,
     loss_and_gradient,
-    pack,
 )
 
 LOGISTIC = ArchDescriptor("logistic", input_dim=4, hidden_dim=0, num_classes=3)
@@ -280,28 +280,67 @@ def test_batch_size_larger_than_shard_rejected():
         local_train(init_params(arch, "zeros"), arch, data, hp)
 
 
+def _fresh_array_gradient(values, arch, x, labels, l2):
+    """The batch gradient in the kernel's order of operations, with every
+    product and sum in a fresh array and the layers joined at the end."""
+    layers = _layers(values, arch)
+    acts = [x]  # each layer's input
+    for w, b in layers[:-1]:
+        acts.append(np.tanh(acts[-1] @ w + b))
+    w, b = layers[-1]
+    logits = acts[-1] @ w + b
+    expd = np.exp(logits - logits.max(axis=1, keepdims=True))
+    delta = expd / expd.sum(axis=1, keepdims=True)
+    delta[np.arange(labels.shape[0]), labels] -= 1.0
+    delta = delta / labels.shape[0]
+    parts = []
+    for i in reversed(range(len(layers))):
+        w, _ = layers[i]
+        gw = acts[i].T @ delta
+        if l2 != 0.0:
+            gw = gw + l2 * w
+        parts[:0] = [gw.ravel(), delta.sum(axis=0)]
+        if i:
+            delta = (delta @ w.T) * (1.0 - acts[i] * acts[i])
+    return np.concatenate(parts)
+
+
 def _reference_sgd(params, arch, data, hp):
-    """Per-batch SGD through the public API: a Dataset and a ParameterVector
-    per batch, the flat gradient from loss_and_gradient."""
+    """Per-batch SGD on a fresh parameter array per step."""
     rng = np.random.default_rng(hp.seed)
     current = params.values
     for _ in range(hp.epochs):
         order = rng.permutation(len(data))
         for start in range(0, len(data), hp.batch_size):
             idx = order[start : start + hp.batch_size]
-            batch = Dataset(data.features[idx], data.labels[idx], data.num_classes)
-            _, grad = loss_and_gradient(ParameterVector(current), arch, batch, l2=hp.l2)
-            current = current - hp.learning_rate * grad.values
+            grad = _fresh_array_gradient(current, arch, data.features[idx], data.labels[idx], hp.l2)
+            current = current - hp.learning_rate * grad
     return current
+
+
+@st.composite
+def _shard_and_batch(draw):
+    """(shard size, batch size): batches of 1, one batch of the whole shard,
+    or batches that leave a short trailing batch."""
+    kind = draw(st.sampled_from(["single", "whole", "trailing"]))
+    if kind == "trailing":
+        batch = draw(st.integers(2, 8))
+        return batch * draw(st.integers(1, 3)) + draw(st.integers(1, batch - 1)), batch
+    n = draw(st.integers(1, 24))
+    return n, 1 if kind == "single" else n
 
 
 @pytest.mark.parametrize("l2", [0.0, 0.01])
 @pytest.mark.parametrize("arch", [LOGISTIC, MLP])
-def test_local_train_equals_reference_sgd_bit_for_bit(arch, l2):
-    # 23 samples in batches of 5 leave a short trailing batch of 3
-    data = _blob_data(23, seed=31, num_classes=3)
-    params = init_params(arch, "seeded_uniform", seed=32)
-    hp = Hyperparameters(learning_rate=0.3, epochs=3, batch_size=5, l2=l2, seed=33)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(shape=_shard_and_batch(), epochs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_local_train_equals_reference_sgd_bit_for_bit(arch, l2, shape, epochs, seed):
+    # local_train writes each product into a view of one reused buffer
+    # through out=; the reference makes fresh arrays. They must agree bit for bit.
+    n, batch_size = shape
+    data = _blob_data(n, seed=seed, num_classes=3)
+    params = init_params(arch, "seeded_uniform", seed=seed + 1)
+    hp = Hyperparameters(learning_rate=0.3, epochs=epochs, batch_size=batch_size, l2=l2, seed=seed)
     trained = local_train(params, arch, data, hp)
     assert np.array_equal(trained.values, _reference_sgd(params, arch, data, hp))
 
@@ -329,6 +368,46 @@ def test_divergence_aborts_loudly():
     hp = Hyperparameters(learning_rate=1e307, epochs=50, batch_size=4, l2=0.0, seed=1)
     with pytest.raises(DivergenceError, match="epoch"):
         local_train(init_params(arch, "seeded_uniform", seed=2), arch, data, hp)
+
+
+def _divergence_case(arch, scale, params=None, **hp):
+    rng = np.random.default_rng(4)
+    data = Dataset(rng.normal(0.0, scale, size=(12, 4)), rng.integers(0, 3, size=12), 3)
+    if params is None:
+        params = init_params(arch, "seeded_uniform", seed=5)
+    return params, arch, data, Hyperparameters(epochs=3, batch_size=4, seed=6, **hp)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        # the update after batch 1 makes the logits overflow, and with them
+        # the probabilities that batch 2's gradient is built from
+        (
+            _divergence_case(LOGISTIC, 10.0, learning_rate=1e307, l2=0.0),
+            "non-finite gradient at epoch 1 batch 2",
+        ),
+        # batch 1 moves the weights to about -1e300: the l2 penalty
+        # overflows at batch 2 while its gradient, 0.01 * w, stays finite
+        (
+            _divergence_case(
+                LOGISTIC, 1.0, ParameterVector(np.full(LOGISTIC.parameter_count, 1e152)),
+                learning_rate=1e150, l2=0.01,
+            ),
+            "non-finite loss at epoch 1 batch 2",
+        ),
+        # a finite gradient times a huge learning rate
+        (
+            _divergence_case(MLP, 1000.0, learning_rate=1e200, l2=0.0),
+            "non-finite parameters at epoch 2 batch 3",
+        ),
+    ],
+    ids=["gradient", "loss", "parameters"],
+)
+def test_divergence_names_what_went_non_finite_and_where(case, message):
+    with pytest.raises(DivergenceError) as err:
+        local_train(*case)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +535,6 @@ def test_parameter_vector_is_read_only():
     pv = ParameterVector(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         pv.values[0] = 9.0
-
-
-def test_pack_unpack_round_trip():
-    params = init_params(MLP, "seeded_uniform", seed=99)
-    assert np.array_equal(pack(unpack(params, MLP)).values, params.values)
 
 
 def test_arch_validation():

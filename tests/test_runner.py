@@ -430,7 +430,7 @@ def test_drift_flips_the_labels_of_the_shard_each_client_trains_on():
     run.run()
     for cid, rt in run.runtimes.items():
         for got, was in ((rt.shard.train, before[cid].train), (rt.shard.test, before[cid].test)):
-            assert np.array_equal(got.features, was.features)
+            assert got.features is was.features
             assert not np.array_equal(got.labels, was.labels)
 
 
