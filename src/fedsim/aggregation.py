@@ -542,11 +542,11 @@ class VersionLedger:
     """Append-only map from global version ids to their provenance records."""
 
     def __init__(self) -> None:
+        # dicts keep insertion order, which is the append order
         self._records: dict[str, GlobalVersionRecord] = {}
-        self._order: list[str] = []
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._records)
 
     def __contains__(self, version_id: str) -> bool:
         return version_id in self._records
@@ -555,12 +555,11 @@ class VersionLedger:
         if rec.version_id in self._records:
             raise IntegrityError(f"duplicate version {rec.version_id}")
         if rec.parent_version_id is None:
-            if self._order:
+            if self._records:
                 raise IntegrityError("ledger already has a root version")
         elif rec.parent_version_id not in self._records:
             raise IntegrityError(f"unknown parent {rec.parent_version_id}")
         self._records[rec.version_id] = rec
-        self._order.append(rec.version_id)
 
     def get(self, version_id: str) -> GlobalVersionRecord:
         try:
@@ -570,10 +569,10 @@ class VersionLedger:
 
     def versions(self) -> tuple[str, ...]:
         """Version ids in append order."""
-        return tuple(self._order)
+        return tuple(self._records)
 
     def write_jsonl(self, path: str | Path) -> None:
-        write_jsonl(path, (record_to_json(self._records[v]) for v in self._order))
+        write_jsonl(path, map(record_to_json, self._records.values()))
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "VersionLedger":

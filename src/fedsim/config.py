@@ -487,6 +487,11 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         conflicts.append("the deployment_selector component requires a synchronous round structure")
     if selection != SelectionCriteria() and FLAG_SELECTOR not in flags:
         conflicts.append("selection settings require the selector component")
+    if selection == SelectionCriteria() and FLAG_SELECTOR in flags:
+        conflicts.append(
+            "the selector component requires selection settings "
+            "(with the defaults it draws as it does without the component)"
+        )
     if selection.strategy == STRATEGY_TOP_ACCURACY and FLAG_REGISTRY not in flags:
         conflicts.append("top_accuracy selection requires the registry component")
     if FLAG_SELECTOR in flags and mode == MODE_DECENTRALISED:

@@ -5,10 +5,13 @@ the async mode replays an event queue of wave timers and message
 deliveries. Every mode runs the same client step, `_client_updates`: each
 delivered broadcast goes through ClientRuntime.handle_broadcast (train,
 evaluate, upload gate, package), the outcome is logged, and the upload
-candidates come back for the mode to send and aggregate. Every random
-draw is keyed by the master seed plus a salt, so a config replays to
-byte-identical artifacts (run_meta.json, which records wall-clock
-timestamps, is the single exception).
+candidates come back for the mode to send and aggregate. A synchronous
+round ends in `_run_sync_round` alone: its mode's exchange returns the
+arrived envelopes in ledger order, with their aggregate, or why the round
+failed, and the round logs the failure or archives, credits and mints.
+Every random draw is keyed by the master seed plus a salt, so a config
+replays to byte-identical artifacts (run_meta.json, which records
+wall-clock timestamps, is the single exception).
 
 Three rules have one owner each. The multi-task segment belongs to
 client's update_core, dense_update and with_head, keyed by `body_len`: the
@@ -542,17 +545,6 @@ class ExperimentRunner:
     # synchronous rounds (fedavg, secure, hierarchical)
     # ------------------------------------------------------------------
 
-    def _finish_round_clock(self) -> None:
-        if self.cfg.deadline_s is not None:
-            self.clock = self.clock + self.cfg.deadline_s
-        else:
-            self.clock = max(self.clock, self._round_max_time)
-
-    def _cutoff(self) -> float | None:
-        if self.cfg.deadline_s is None:
-            return None
-        return self.clock + self.cfg.deadline_s
-
     def _update_cluster_models(self, params, weighted, parent) -> None:
         """Each cluster's model after a mint (none without clusters): the
         fedavg of its members this round, or the new version `params`."""
@@ -563,26 +555,30 @@ class ExperimentRunner:
             )
 
     def _run_sync_round(self, r: int) -> None:
-        mode = self.cfg.aggregation_mode
+        cfg = self.cfg
         selected = self._select(r, self._begin_round(r))
         if selected is None:
             self._post_round(r)
             return
         pkg = self._package()
-        cutoff = self._cutoff()
+        # the upload deadline, and where the round's clock ends
+        cutoff = None if cfg.deadline_s is None else self.clock + cfg.deadline_s
         delivered = list(self._broadcast(r, selected, pkg, self.clock))
         exchange = {
             MODE_SECURE: self._secure_exchange,
             MODE_HIERARCHICAL: self._hierarchical_exchange,
-        }.get(mode, self._fedavg_exchange)
-        detail, contributors, agg, weighted = exchange(r, pkg, delivered, cutoff)
-
-        self._finish_round_clock()
-        responded = [c.client_id for c in contributors]
-        self._drop_nonresponders(r, selected, responded)
+        }.get(cfg.aggregation_mode, self._fedavg_exchange)
+        out = exchange(r, pkg, delivered, cutoff)
+        self.clock = max(self.clock, self._round_max_time) if cutoff is None else cutoff
+        if isinstance(out, str):
+            self._log({"event": "round_failed", "round": r, "reason": out})
+            out = None, [], [], {}
+        agg, arrivals, weighted, detail = out
+        contributors = [self._accept(env) for env in arrivals]
+        self._drop_nonresponders(r, selected, [env.client_id for env in arrivals])
         if agg is not None:
             params = with_head(agg, pkg.params.values, self.body_len)
-            self._mint(params, contributors, r, mode, detail)
+            self._mint(params, contributors, r, cfg.aggregation_mode, detail)
             self._update_cluster_models(params, weighted, pkg.params)
         self._post_round(r)
 
@@ -593,28 +589,21 @@ class ExperimentRunner:
             if t_up is not None:
                 arrivals.append(env)
         if len(arrivals) < self.cfg.min_updates:
-            self._log({"event": "round_failed", "round": r, "reason": "too few updates"})
-            return {}, [], None, []
+            return "too few updates"
         arrivals.sort(key=lambda env: env.client_id)
         weighted = [
             WeightedUpdate(env.client_id, self._reconstruct(env, pkg.params), env.n_samples)
             for env in arrivals
         ]
-        agg = fedavg(weighted)
-        contributors = [self._accept(env) for env in arrivals]
-        return {}, contributors, agg, weighted
+        return fedavg(weighted), arrivals, weighted, {}
 
     def _secure_exchange(self, r, pkg, delivered, cutoff):
-        cfg = self.cfg
         # masks are drawn over every committed client, so all train before any sends
         commits = [(t, env) for _, t, env in self._client_updates(r, delivered, lambda _: pkg)]
         if len(commits) < 2:
-            self._log(
-                {"event": "round_failed", "round": r, "reason": "fewer than 2 masking participants"}
-            )
-            return {}, [], None, []
+            return "fewer than 2 masking participants"
         ids = [env.client_id for _, env in commits]
-        round_seed = wire.fnv1a64(struct.pack("<QI", cfg.seed & 0xFFFFFFFFFFFFFFFF, r))
+        round_seed = wire.fnv1a64(struct.pack("<QI", self.cfg.seed & 0xFFFFFFFFFFFFFFFF, r))
         pads = pairwise_pads(ids, round_seed)
         # each weighted update turns into its masked submission in place; an
         # overflow is left to ParameterVector, which raises NonFiniteError
@@ -640,49 +629,37 @@ class ExperimentRunner:
             agg = secure_sum(subs, total_n, ids)
         except SecureAbortError as e:
             self._log({"event": "secure_abort", "round": r, "reason": str(e)})
-            self._log({"event": "round_failed", "round": r, "reason": "masking participant lost"})
-            return {}, [], None, []
+            return "masking participant lost"
         arrivals.sort(key=lambda env: env.client_id)
-        contributors = [self._accept(env) for env in arrivals]
         # masked submissions reveal no per-client update to cluster
-        return {}, contributors, agg, []
+        return agg, arrivals, [], {}
 
     def _hierarchical_exchange(self, r, pkg, delivered, cutoff):
-        cfg = self.cfg
         edge_arrivals: dict[int, list] = {}
         for cid, t, env in self._client_updates(r, delivered, lambda _: pkg):
-            edge = cid % cfg.n_edges
+            edge = cid % self.cfg.n_edges
             t_edge = self._upload("update", cid, wire.EDGE_SENDER_BASE + edge, env.byte_size, t, r)
             if t_edge is not None:
                 edge_arrivals.setdefault(edge, []).append((cid, env, t_edge))
-        dim = len(update_core(pkg.params.values, self.body_len))
-        groups = []
-        members_by_edge = {}
+        size = wire.dense_message_size(len(update_core(pkg.params.values, self.body_len)))
+        groups, arrivals = [], []
         for edge in sorted(edge_arrivals):
             rows = sorted(edge_arrivals[edge], key=lambda a: a[0])
             t_fwd = max(t for _, _, t in rows)
             sender = wire.EDGE_SENDER_BASE + edge
-            size = wire.dense_message_size(dim)
             fwd = self._upload("edge_update", sender, wire.SERVER_SENDER, size, t_fwd, r, cutoff)
-            if fwd is None:
-                continue
-            groups.append(EdgeGroup(edge, [cid for cid, _, _ in rows]))
-            members_by_edge[edge] = rows
-        total_members = sum(len(v) for v in members_by_edge.values())
-        if not groups or total_members < cfg.min_updates:
-            self._log({"event": "round_failed", "round": r, "reason": "no surviving edge groups"})
-            return {}, [], None, []
-        weighted = []
-        contributors = []
-        for edge in sorted(members_by_edge):
-            for cid, env, _ in members_by_edge[edge]:
-                weighted.append(
-                    WeightedUpdate(cid, self._reconstruct(env, pkg.params), env.n_samples)
-                )
-                contributors.append(self._accept(env))
-        agg = hierarchical_aggregate(groups, weighted)
+            if fwd is not None:
+                groups.append(EdgeGroup(edge, [cid for cid, _, _ in rows]))
+                arrivals += [env for _, env, _ in rows]
+        # every group has a member, so min_updates >= 1 also fails a round with none
+        if len(arrivals) < self.cfg.min_updates:
+            return "no surviving edge groups"
+        weighted = [
+            WeightedUpdate(env.client_id, self._reconstruct(env, pkg.params), env.n_samples)
+            for env in arrivals
+        ]
         detail = {"groups": [[g.edge_id, list(g.member_ids)] for g in groups]}
-        return detail, contributors, agg, weighted
+        return hierarchical_aggregate(groups, weighted), arrivals, weighted, detail
 
     # ------------------------------------------------------------------
     # decentralised rounds

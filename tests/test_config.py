@@ -326,8 +326,24 @@ GOSSIP = {"aggregation_mode": "decentralised"}
             {**GOSSIP, "optional_components": ["selector"], "selection": {"min_samples": 10_000}},
             "the selector component does not support decentralised aggregation",
         ),
+        (
+            {"optional_components": ["selector"]},
+            "the selector component requires selection settings",
+        ),
+        (
+            {"optional_components": ["selector"], "selection": {"strategy": "uniform_random"}},
+            "the selector component requires selection settings",
+        ),
     ],
-    ids=["async-round", "gossip-round", "secure-min-updates", "gossip-fraction", "gossip-selector"],
+    ids=[
+        "async-round",
+        "gossip-round",
+        "secure-min-updates",
+        "gossip-fraction",
+        "gossip-selector",
+        "selector-alone",
+        "selector-default-selection",
+    ],
 )
 def test_setting_that_changes_nothing_is_a_named_conflict(raw, message):
     # each of these ran, and gave the artifacts of its default, before it was rejected

@@ -68,6 +68,53 @@ def test_all_broadcasts_dropped_leaves_root_model():
     assert all(m["version_id"] == "g0" for m in res.metrics)
 
 
+@pytest.mark.parametrize(
+    "raw, rounds, n_selected, reasons",
+    [
+        (
+            {"n_clients": 4, "round": {"min_updates": 4}, "net": {"dropout_prob": 0.3}},
+            3, 4, ["too few updates"],
+        ),
+        (
+            {"aggregation_mode": "secure", "n_clients": 6, "net": {"dropout_prob": 0.3}},
+            3, 6, ["secure_abort", "masking participant lost"],
+        ),
+        (
+            {"aggregation_mode": "hierarchical", "n_clients": 6, "round": {"deadline_s": 0.05}},
+            2, 6, ["no surviving edge groups"],
+        ),
+        (
+            {
+                "aggregation_mode": "hierarchical",
+                "n_clients": 6,
+                "round": {"min_updates": 6},
+                "net": {"dropout_prob": 0.2},
+            },
+            2, 6, ["no surviving edge groups"],
+        ),
+    ],
+    ids=["fedavg-min-updates", "secure-abort", "hierarchical-deadline", "hierarchical-min-updates"],
+)
+def test_failed_round_logs_its_reason_then_drops_every_selected_client(
+    raw, rounds, n_selected, reasons
+):
+    run = ExperimentRunner(parse_config({**raw, "seed": 0, "rounds": rounds}))
+    res = run.run()
+    assert res.ledger.versions() == ("g0",)
+    assert [(m["n_selected"], m["n_received"]) for m in res.metrics] == [(n_selected, 0)] * rounds
+    assert len(res.round_failures) == rounds
+    for r in range(rounds):
+        ends = [
+            e.get("reason") if e["event"] == "round_failed" else e["event"]
+            for e in run.events
+            if e["round"] == r
+            and (e["event"] in ("secure_abort", "round_failed") or e.get("change") == "dropped")
+        ]
+        # a failed round drops every selected client, those whose update arrived too
+        assert ends == reasons + ["registry"] * n_selected
+    assert all(rec.rounds_participated == 0 for rec in run.registry.records())
+
+
 def test_loss_improves_over_rounds_on_reliable_network():
     res = run_experiment(_cfg(rounds=4, net={"dropout_prob": 0.0}), None)
     losses = [m["global_loss"] for m in res.metrics]
