@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrityError, PartitionError, SecureAbortError
 from .models import ParameterVector
-from .wire import fnv1a64, pcg64_state, seed_words, write_jsonl
+from .wire import FNV_PRIME, fnv1a64, pcg64_state, seed_words, write_jsonl
 
 PAD_SALT = 301  # stream tag for pairwise mask material
 
@@ -124,69 +124,82 @@ class PadSeeds:
     np.random.default_rng(seed).uniform(-1, 1, size=d) draws, where seed is
     FNV-1a of (round_seed, PAD_SALT, low, high). `words` holds each pair's
     SeedSequence state words, one row per pair in lexicographic pair order;
-    `rng` is reseeded from a row for each draw.
+    `rng` is reseeded from a row for each draw. Masking accumulators are one
+    (len(ids), d) array whose rows follow `ids`.
     """
 
     ids: tuple[int, ...]
     words: np.ndarray
     rng: np.random.Generator
 
-    def pairs_from(self, low: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """The ids above `low` and the state words of its pair with each."""
+    def pairs_from(self, low: int) -> tuple[int, np.ndarray]:
+        """The row of `low` in `ids` and the state words of its pair with
+        each higher id, in ascending order of that id."""
         a = bisect.bisect_left(self.ids, low)
         if a == len(self.ids) or self.ids[a] != low:
             raise ValueError(f"client {low} is not a masking participant")
         n = len(self.ids)
         first = a * (n - 1) - a * (a - 1) // 2  # pairs whose low sits before a
-        return self.ids[a + 1 :], self.words[first : first + n - 1 - a]
+        return a, self.words[first : first + n - 1 - a]
 
 
 def pairwise_pads(client_ids: list[int], round_seed: int) -> PadSeeds:
     """The seeding of one shared pad per unordered participant pair.
 
-    The FNV-1a state after the (round_seed, PAD_SALT) prefix is taken once,
-    and after each low id once; the seed words of all pairs then come from
-    one bulk SeedSequence pass.
+    The FNV-1a state after the (round_seed, PAD_SALT) prefix is taken once;
+    the 4 bytes of every pair's low id, then of its high id, are folded into
+    it in one pass of uint64 array arithmetic, which wraps as fnv1a64 does,
+    and the seed words of all pairs come from one bulk SeedSequence pass.
     """
     ids = tuple(sorted(client_ids))
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate client_id")
-    packed = [struct.pack("<I", cid) for cid in ids]
-    prefix = fnv1a64(struct.pack("<QI", round_seed, PAD_SALT))
-
-    def pair_seeds():
-        for a in range(len(ids)):
-            after_low = fnv1a64(packed[a], h=prefix)
-            for high in packed[a + 1 :]:
-                yield fnv1a64(high, h=after_low)
-
-    n = len(ids)
-    seeds = np.fromiter(pair_seeds(), dtype=np.uint64, count=n * (n - 1) // 2)
+    if ids and not 0 <= ids[0] <= ids[-1] <= 0xFFFFFFFF:
+        raise ValueError("a masking participant id must lie in [0, 2**32)")
+    column = np.array(ids, dtype=np.uint64)
+    low, high = np.triu_indices(len(ids), 1)
+    seeds = np.full(len(low), fnv1a64(struct.pack("<QI", round_seed, PAD_SALT)), dtype=np.uint64)
+    prime = np.uint64(FNV_PRIME)
+    for part in (column[low], column[high]):
+        for shift in (0, 8, 16, 24):  # little-endian, as struct packs "<I"
+            seeds ^= (part >> np.uint64(shift)) & np.uint64(0xFF)
+            seeds *= prime
     words = seed_words([seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)])
     return PadSeeds(ids, words, np.random.Generator(np.random.PCG64(0)))
 
 
-def mask_submission(cid: int, accumulators: dict[int, np.ndarray], pads: PadSeeds) -> None:
-    """Draw each pad `cid` shares with a higher id once, add it in place to
-    accumulators[cid] and subtract it in place from the higher id's.
+def mask_submission(cid: int, accumulators: np.ndarray, pads: PadSeeds) -> None:
+    """Draw each pad `cid` shares with a higher id once, add them in place to
+    cid's row of `accumulators` and subtract each from the higher id's row.
 
-    Called once per participant, in ascending id order, over accumulators
-    that start at each client's params * n_samples, it leaves every
-    accumulator holding that client's masked submission: the client's pads
-    arrive in ascending (low, high) pair order, subtracted where it is the
-    higher id and added where it is the lower. Only one pad is alive at a
-    time, so memory is the accumulators' O(n*d).
+    `accumulators` is (len(pads.ids), d), its rows in `pads.ids` order.
+    Called once per participant, in ascending id order, over rows that start
+    at each client's params * n_samples, it leaves every row holding that
+    client's masked submission: the client's pads arrive in ascending
+    (low, high) pair order, subtracted where it is the higher id and added
+    where it is the lower. A call draws its pads as one (k + 1, d) block
+    behind a copy of its own row and folds the block into that row from the
+    top, so each row sees the same float operations in the same order as
+    one pad at a time would give; memory is two (n, d) arrays at most.
     """
-    own = accumulators[cid]
-    dim = own.shape[0]
+    a, words = pads.pairs_from(cid)
+    n = len(pads.ids)
+    if accumulators.shape[0] != n:
+        raise ValueError(f"{accumulators.shape[0]} accumulator rows for {n} participants")
     rng = pads.rng
     bit_generator = rng.bit_generator
-    highs, words = pads.pairs_from(cid)
-    for high, row in zip(highs, words.tolist()):
+    block = np.empty((len(words) + 1, accumulators.shape[1]))
+    block[0] = accumulators[a]
+    for pad, row in zip(block[1:], words.tolist()):
         bit_generator.state = pcg64_state(row)
-        pad = rng.uniform(-1.0, 1.0, size=dim)
-        own += pad
-        accumulators[high] -= pad
+        rng.random(out=pad)
+    # uniform(-1, 1) is -1 + 2 * u; doubling is exact, so no rounding differs
+    pads_drawn = block[1:]
+    pads_drawn *= 2.0
+    pads_drawn -= 1.0
+    # a reduction over the slow axis is a left fold: row + pad 1 + pad 2 ...
+    np.add.reduce(block, axis=0, out=accumulators[a])
+    accumulators[a + 1 :] -= pads_drawn
 
 
 def secure_sum(

@@ -46,6 +46,8 @@ INIT_SPAN = 0.05  # seeded init draws from [-INIT_SPAN, +INIT_SPAN]
 
 _MAX_SEED = 2**64
 
+STACK_SAMPLES = 256  # samples per stacked forward pass in accuracies
+
 
 def seq_sum(values: Iterable[float]) -> float:
     """Strict left-to-right float accumulation."""
@@ -78,6 +80,16 @@ class ParameterVector:
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
+
+    @classmethod
+    def _derived(cls, values: np.ndarray) -> ParameterVector:
+        """A ParameterVector over `values` without __post_init__'s checks and
+        copy. The caller vouches that the array is 1-D float64 and finite,
+        and that nothing else writes to it: it is made read-only."""
+        pv = object.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(pv, "values", values)
+        return pv
 
 
 @dataclass(frozen=True)
@@ -367,21 +379,35 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def accuracies(cases: Iterable[tuple[list[tuple[np.ndarray, np.ndarray]], Dataset]]) -> list[float]:
-    """evaluate(...).accuracy for each (per-layer views, data) case, from one
-    forward pass and without the loss: what deployment keeps of a report.
+    """evaluate(...).accuracy for each (per-layer views, data) case, without
+    the loss: what deployment keeps of a report.
 
     The views come from unpack, taken once per model however many cases
-    share it. Empty data scores 0.0, as evaluate's degenerate report does.
+    share it. Cases that share a views object and a test-set size are
+    scored in stacks of at most STACK_SAMPLES samples (one case per stack
+    past that): one forward pass over the (k, n, d) stack, whose matmuls run
+    one product per case with the case's own shape, so the logits equal the
+    per-case ones bit for bit. The cap bounds the stack's memory. Empty data
+    scores 0.0, as evaluate's degenerate report does.
     """
-    out = []
+    cases = list(cases)
+    out = [0.0] * len(cases)
+    groups: dict[tuple[int, int], tuple[list, list[int]]] = {}
+    for i, (layers, data) in enumerate(cases):
+        if len(data):
+            groups.setdefault((id(layers), len(data)), (layers, []))[1].append(i)
     # a finite model's logits may overflow; its argmax still counts
     with np.errstate(over="ignore", invalid="ignore"):
-        for layers, data in cases:
-            if len(data) == 0:
-                out.append(0.0)
-                continue
-            logits, _ = _logits(layers, data.features)
-            out.append(_accuracy(logits, data.labels))
+        for (_, n), (layers, members) in groups.items():
+            per_stack = max(1, STACK_SAMPLES // n)
+            for start in range(0, len(members), per_stack):
+                stack = members[start : start + per_stack]
+                x = np.stack([cases[i][1].features for i in stack])
+                labels = np.stack([cases[i][1].labels for i in stack])
+                logits, _ = _logits(layers, x)
+                hits = np.count_nonzero(logits.argmax(axis=-1) == labels, axis=1)  # first max wins
+                for i, h in zip(stack, hits.tolist()):
+                    out[i] = h / n
     return out
 
 
@@ -435,7 +461,8 @@ def local_train(
                     else:
                         what = "parameters"
                     raise DivergenceError(f"non-finite {what} at epoch {epoch + 1} batch {bi + 1}")
-    return ParameterVector(current)
+    # a copy of a finite vector, checked finite after every batch
+    return ParameterVector._derived(current)
 
 
 # ---------------------------------------------------------------------------

@@ -605,11 +605,15 @@ class ExperimentRunner:
         ids = [env.client_id for _, env in commits]
         round_seed = wire.fnv1a64(struct.pack("<QI", self.cfg.seed & 0xFFFFFFFFFFFFFFFF, r))
         pads = pairwise_pads(ids, round_seed)
-        # each weighted update turns into its masked submission in place; an
-        # overflow is left to ParameterVector, which raises NonFiniteError
+        # each weighted update turns into its masked submission in place, one
+        # row per participant in pads.ids order; an overflow is left to
+        # ParameterVector, which raises NonFiniteError
+        row_of = {cid: a for a, cid in enumerate(pads.ids)}
+        masked = np.empty((len(ids), len(commits[0][1].payload)))
         with np.errstate(over="ignore", invalid="ignore"):
-            masked = {env.client_id: env.payload.values * env.n_samples for _, env in commits}
-        for cid in sorted(masked):
+            for _, env in commits:
+                np.multiply(env.payload.values, env.n_samples, out=masked[row_of[env.client_id]])
+        for cid in pads.ids:
             mask_submission(cid, masked, pads)
         total_n = sum(env.n_samples for _, env in commits)
         arrivals = []
@@ -617,7 +621,7 @@ class ExperimentRunner:
             cid = env.client_id
             sub = build_envelope(
                 cid, r, pkg.version_id, env.n_samples, wire.K_UPDATE_MASKED,
-                ParameterVector(masked[cid]), env.local_eval,
+                ParameterVector(masked[row_of[cid]]), env.local_eval,
             )
             t_up = self._upload(
                 "masked_update", cid, wire.SERVER_SENDER, sub.byte_size, t, r, cutoff
@@ -651,9 +655,10 @@ class ExperimentRunner:
             if fwd is not None:
                 groups.append(EdgeGroup(edge, [cid for cid, _, _ in rows]))
                 arrivals += [env for _, env, _ in rows]
-        # every group has a member, so min_updates >= 1 also fails a round with none
+        # every group has a member, so min_updates >= 1 also fails a round with
+        # none; one whose groups survived with too few members has too few updates
         if len(arrivals) < self.cfg.min_updates:
-            return "no surviving edge groups"
+            return "too few updates" if groups else "no surviving edge groups"
         weighted = [
             WeightedUpdate(env.client_id, self._reconstruct(env, pkg.params), env.n_samples)
             for env in arrivals

@@ -98,15 +98,15 @@ def broadcast_message_size(d: int) -> int:
 CONTENT_HASH = "blake2b-64"
 
 _FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a of `data`; from start state `h`, the hash of whatever
-    prefix left that state, so fnv1a64(b, h=fnv1a64(a)) == fnv1a64(a + b)."""
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a of `data`."""
+    h = _FNV_OFFSET
     for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _U64
+        h = ((h ^ b) * FNV_PRIME) & _U64
     return h
 
 

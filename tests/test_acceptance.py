@@ -140,10 +140,10 @@ def test_criterion_03_masked_aggregation_equivalence(tmp_path):
         # each masks its weighted update, the server sums
         ids = list(range(n))
         pads = pairwise_pads(ids, int(rng.integers(0, 2**63)))
-        acc = {u.client_id: u.params.values * u.n_samples for u in updates}
+        acc = np.stack([u.params.values * u.n_samples for u in updates])  # rows in id order
         for cid in ids:
             mask_submission(cid, acc, pads)
-        masked = secure_sum(list(acc.items()), sum(u.n_samples for u in updates), ids)
+        masked = secure_sum(list(zip(ids, acc)), sum(u.n_samples for u in updates), ids)
         worst = max(worst, float(np.max(np.abs(plain.values - masked.values))))
 
     # twin runs, identical seeds: the plaintext archive supplies the raw

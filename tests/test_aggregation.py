@@ -139,14 +139,21 @@ def test_fedavg_stays_inside_coordinate_hull(seed, count):
 # ---------------------------------------------------------------------------
 
 
+def _accumulators(updates, pads):
+    """One row per participant in pads.ids order, each params * n_samples."""
+    by_id = {u.client_id: u for u in updates}
+    return np.stack([by_id[cid].params.values * by_id[cid].n_samples for cid in pads.ids])
+
+
 def _masked(updates, round_seed):
     """The runner's masking step: pad seeds over every committed client, then
-    each accumulator, from params * n_samples, is masked in ascending id order."""
+    each accumulator row, from params * n_samples, is masked in ascending id
+    order. Returns {client id: masked submission}."""
     pads = pairwise_pads([u.client_id for u in updates], round_seed)
-    acc = {u.client_id: u.params.values * u.n_samples for u in updates}
-    for cid in sorted(acc):
+    acc = _accumulators(updates, pads)
+    for cid in pads.ids:
         mask_submission(cid, acc, pads)
-    return acc
+    return dict(zip(pads.ids, acc))
 
 
 def test_pads_cancel_for_two_clients():
@@ -215,8 +222,12 @@ def test_pads_are_deterministic_and_shared():
     assert not np.array_equal(a.words[0], c.words[0])
     with pytest.raises(ValueError, match="duplicate"):
         pairwise_pads([1, 2, 2], round_seed=42)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        pairwise_pads([1, 2**32], round_seed=42)
     with pytest.raises(ValueError, match="client 3 is not a masking participant"):
-        mask_submission(3, {3: np.zeros(7)}, a)
+        mask_submission(3, np.zeros((3, 7)), a)
+    with pytest.raises(ValueError, match="2 accumulator rows for 3 participants"):
+        mask_submission(1, np.zeros((2, 7)), a)
 
 
 # today's pad material, kept as the reference: one default_rng per pair seed
@@ -245,6 +256,16 @@ def _reference_masked(updates, round_seed):
             masked = masked + pads[low, high] if low == cid else masked - pads[low, high]
         out[cid] = masked
     return out
+
+
+@pytest.mark.parametrize("round_seed", [0, 2**64 - 1])
+def test_pair_seeds_equal_fnv_of_the_packed_pair(round_seed):
+    # ids whose bytes are all zero, one low byte, one high byte, all 0xff
+    ids = [0, 1, 2**24, 2**32 - 1]
+    pads = pairwise_pads(ids[::-1], round_seed)
+    pairs = [(low, high) for a, low in enumerate(ids) for high in ids[a + 1 :]]
+    want = [_reference_pad_seed(round_seed, low, high) for low, high in pairs]
+    assert np.array_equal(pads.words, _uint64_seed_words(want))
 
 
 EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1]
@@ -337,10 +358,11 @@ def test_streamed_masking_equals_pad_dict_reference(n):
 
 
 def test_masking_step_holds_one_pad_at_a_time():
-    # 100 participants at d=330: a pad dict would hold 4,950 pads of 2,640 bytes
+    # 100 participants at d=330: a pad dict would hold 4,950 pads of 2,640
+    # bytes, 12.5 MiB; each call holds only its own participant's pads
     rng = np.random.default_rng(8)
     ids = sorted(rng.choice(2000, size=100, replace=False).tolist())
-    acc = {cid: rng.normal(size=330) for cid in ids}
+    acc = rng.normal(size=(100, 330))
     tracemalloc.start()
     try:
         pads = pairwise_pads(ids, round_seed=99)

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from fedsim.errors import DivergenceError
 from fedsim.models import (
+    STACK_SAMPLES,
     ArchDescriptor,
     Dataset,
     EvalReport,
     Hyperparameters,
     ParameterVector,
     _layers,
+    _logits,
     accuracies,
     evaluate,
     init_params,
@@ -237,6 +239,9 @@ def test_zero_learning_rate_is_identity():
     hp = Hyperparameters(learning_rate=0.0, epochs=1, batch_size=5, l2=0.0, seed=4)
     out = local_train(params, arch, data, hp)
     assert np.array_equal(out.values, params.values)
+    # the trained vector is its own read-only copy, as a checked one would be
+    assert not np.shares_memory(out.values, params.values)
+    assert out.values.dtype == np.float64 and not out.values.flags.writeable
 
 
 def test_separable_blob_reaches_95_percent():
@@ -496,6 +501,44 @@ def test_accuracies_equal_evaluate(arch):
     got = accuracies(_layer_cases(cases, arch))
     assert got == _evaluated_accuracies(cases, arch)
     assert got[-1] == 0.0
+
+
+@pytest.mark.parametrize("arch", [LOGISTIC, MLP])
+def test_stacked_accuracies_equal_evaluate(arch):
+    # views shared as the deploy step shares them: two models interleaved
+    # over the targets, mixed test-set sizes with empty ones among them, a
+    # (model, size) group past one stack, and a set past a stack on its own
+    rng = np.random.default_rng(23)
+    models = [init_params(arch, "seeded_uniform", seed=s) for s in (0, 1)]
+    views = [unpack(m, arch) for m in models]
+    sizes = [8] * 80 + [0, 0, 1, 3, 3, 5, STACK_SAMPLES + 44]
+    sizes = rng.permutation(sizes).tolist()
+    cases = [
+        (models[i % 2], Dataset(rng.normal(0, 2, size=(n, 4)), rng.integers(0, 3, size=n), 3))
+        for i, n in enumerate(sizes)
+    ]
+    largest = max(sum(8 for i, n in enumerate(sizes) if n == 8 and i % 2 == m) for m in (0, 1))
+    assert largest > STACK_SAMPLES
+    got = accuracies([(views[i % 2], data) for i, (_, data) in enumerate(cases)])
+    assert got == _evaluated_accuracies(cases, arch)
+
+
+WIDE_ARCHES = [ArchDescriptor("logistic", 32, 0, 10), ArchDescriptor("mlp", 32, 64, 10)]
+
+
+@pytest.mark.parametrize("arch", WIDE_ARCHES, ids=["logistic", "mlp"])
+@pytest.mark.parametrize("n", [1, 2, 8, 40])
+def test_stacked_logits_equal_per_case_logits(arch, n):
+    # accuracies relies on a matmul over a (k, n, d) stack running one product
+    # per case with the case's own shape; a product over the k * n rows
+    # concatenated differs from the per-case ones in the low bits
+    rng = np.random.default_rng(n)
+    layers = unpack(ParameterVector(rng.normal(size=arch.parameter_count)), arch)
+    stack = rng.normal(0, 2, size=(50, n, arch.input_dim))
+    stacked, _ = _logits(layers, stack)
+    for x, got in zip(stack, stacked):
+        want, _ = _logits(layers, x)
+        assert np.array_equal(got, want)
 
 
 def test_accuracies_break_argmax_ties_to_lowest_class():

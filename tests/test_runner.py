@@ -90,7 +90,7 @@ def test_all_broadcasts_dropped_leaves_root_model():
                 "round": {"min_updates": 6},
                 "net": {"dropout_prob": 0.2},
             },
-            2, 6, ["no surviving edge groups"],
+            2, 6, ["too few updates"],
         ),
     ],
     ids=["fedavg-min-updates", "secure-abort", "hierarchical-deadline", "hierarchical-min-updates"],

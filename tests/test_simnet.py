@@ -204,10 +204,6 @@ def test_fnv_hash_stability():
     assert wire.fnv1a64(b"") == 0xCBF29CE484222325
     assert wire.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert wire.fnv1a64(b"foobar") == 0x85944171F73967E8
-    # a start state continues the hash of the prefix that left it
-    pairs = ((b"", b"foobar"), (b"foo", b"bar"), (b"foobar", b""), (b"\x00\xff" * 6, b"\x01\x02"))
-    for a, b in pairs:
-        assert wire.fnv1a64(b, h=wire.fnv1a64(a)) == wire.fnv1a64(a + b)
     # content hashes: BLAKE2b with an 8-byte digest, pinned by a fixed value
     assert wire.CONTENT_HASH == "blake2b-64"
     assert wire.content_hash(b"abc") == "d8bb14d833d59559"
