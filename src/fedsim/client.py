@@ -348,40 +348,50 @@ class ClientRuntime:
         # the private head under multi-task; never serialized, never uploaded
         self.head: np.ndarray | None = None
 
-    def handle_broadcast(
-        self, pkg: ModelPackage, round_index: int
-    ) -> UpdateEnvelope | Withheld:
-        """Full client step: train, evaluate, gate, package (maybe compressed).
+    def start(self, pkg: ModelPackage, round_index: int) -> tuple[ParameterVector, Hyperparameters]:
+        """The start stage of a client step: the vector to train from and the
+        hyperparameters with this round's seed.
 
         Under multi-task the client trains the broadcast body joined to its
-        own head (the broadcast head in its first round), keeps the trained
-        head and uploads only the body.
+        own head (the broadcast head in its first round).
         """
-        hp = replace(
-            pkg.hp, seed=round_train_seed(pkg.hp.seed, self.client_id, round_index)
-        )
-        body_len = self.body_len
-        start = pkg.params
-        if self.head is not None:
-            start = ParameterVector(np.concatenate([pkg.params.values[:body_len], self.head]))
-        # training and compression both raise DivergenceError past float64
-        try:
-            trained = local_train(start, pkg.arch, self.shard.train, hp)
-            report = evaluate(trained, pkg.arch, self.shard.test)
-            if body_len is not None:
-                self.head = trained.values[body_len:]
-            if not upload_gate(report, self.gate):
-                return Withheld(self.client_id, round_index, WITHHELD_GATE, report)
-            update = update_core(trained.values, body_len)
-            if self.compression is not None:
-                delta = update - update_core(pkg.params.values, body_len)
-                payload = compress(delta, self.compression.top_k, self.compression.bits)
-                update_kind = wire.UPDATE_SPARSE_KIND_BY_BITS[payload.bits]
-            else:
-                payload = ParameterVector(update)
-                update_kind = wire.K_UPDATE_DENSE
-        except DivergenceError:
+        hp = replace(pkg.hp, seed=round_train_seed(pkg.hp.seed, self.client_id, round_index))
+        if self.head is None:
+            return pkg.params, hp
+        return ParameterVector(np.concatenate([pkg.params.values[: self.body_len], self.head])), hp
+
+    def finish(
+        self,
+        pkg: ModelPackage,
+        round_index: int,
+        trained: ParameterVector | DivergenceError,
+        report: EvalReport | None,
+    ) -> UpdateEnvelope | Withheld:
+        """The finish stage of a client step, given what training from
+        start(pkg, round_index) gave and `report`, its score on the test
+        shard: keep the head, gate, package (maybe compressed).
+
+        A client whose training or compression left float64 is withheld as
+        diverged.
+        """
+        if isinstance(trained, DivergenceError):
             return Withheld(self.client_id, round_index, WITHHELD_DIVERGENCE)
+        body_len = self.body_len
+        if body_len is not None:
+            self.head = trained.values[body_len:]
+        if not upload_gate(report, self.gate):
+            return Withheld(self.client_id, round_index, WITHHELD_GATE, report)
+        update = update_core(trained.values, body_len)
+        if self.compression is not None:
+            delta = update - update_core(pkg.params.values, body_len)
+            try:
+                payload = compress(delta, self.compression.top_k, self.compression.bits)
+            except DivergenceError:
+                return Withheld(self.client_id, round_index, WITHHELD_DIVERGENCE)
+            update_kind = wire.UPDATE_SPARSE_KIND_BY_BITS[payload.bits]
+        else:
+            payload = ParameterVector(update)
+            update_kind = wire.K_UPDATE_DENSE
         return build_envelope(
             self.client_id,
             round_index,
@@ -391,3 +401,15 @@ class ClientRuntime:
             payload,
             report,
         )
+
+    def handle_broadcast(
+        self, pkg: ModelPackage, round_index: int
+    ) -> UpdateEnvelope | Withheld:
+        """Full client step, one client at a time: start, local_train and
+        evaluate, finish."""
+        start, hp = self.start(pkg, round_index)
+        try:
+            trained = local_train(start, pkg.arch, self.shard.train, hp)
+        except DivergenceError as e:
+            return self.finish(pkg, round_index, e, None)
+        return self.finish(pkg, round_index, trained, evaluate(trained, pkg.arch, self.shard.test))

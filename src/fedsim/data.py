@@ -41,6 +41,9 @@ AUGMENT_CAP_FACTOR = 10
 AUGMENT_JITTER_FACTOR = 0.1
 _CONSTANT_STD = 1e-12
 BLOCK_ROWS = 1024  # samples per shard-building block; bounds set-up's temporaries
+# float64 feature bytes that quantity-skew sample counts may draw for the
+# whole partition: past it, set-up could not hold the shards
+PARTITION_BYTES = 1 << 30
 
 # stream salts keep the independent RNG purposes apart
 _SALT_MEANS = 101
@@ -233,7 +236,14 @@ def client_sample_counts(ps: PartitionSpec, ss: SyntheticSpec, n_clients: int) -
                 "data.partition.sigma, data.samples_per_client: "
                 "a client's sample count leaves int64"
             )
-        return np.maximum(MIN_SHARD_SAMPLES, counts.astype(np.int64))
+        counts = np.maximum(MIN_SHARD_SAMPLES, counts)
+        feature_bytes = 8.0 * ss.input_dim * float(counts.sum())
+        if feature_bytes > PARTITION_BYTES:
+            raise ConfigError(
+                f"data.partition.sigma: the drawn sample counts need {feature_bytes / 2**30:.3g} "
+                f"GiB of features, past the partition budget of {PARTITION_BYTES / 2**30:g} GiB"
+            )
+        return counts.astype(np.int64)
     return np.full(n_clients, ss.samples_per_client, dtype=np.int64)
 
 

@@ -10,18 +10,29 @@ order, then that layer's bias vector. All per-sample reductions (mean loss,
 accuracy) accumulate strictly left to right so independent re-computation
 can reproduce them.
 
-One kernel, `_sgd_kernel`, computes a batch's loss and gradient for
-`local_train`, reading the parameters through per-layer (weights, bias)
-views of a raw float64 array. Its order: one forward pass to the logits;
-the row max m, exp(logits - m) and the row sums s, which give both the
-per-sample cross-entropy m + log(s) - logit[label] and the probabilities
-exp(...) / s; the mean loss; the backward pass, adding l2 * weights to each
-weight gradient last. The gradient goes into one flat buffer with the
-parameters' layout, each layer's written in place through views of it, so
-`local_train` updates all parameters at once, `current -= lr * grad`, and
-checks once per batch that they and the loss are still finite. Only when
-they are not does it test the gradient, then the loss, to name in the
-error the first of gradient, loss and parameters that is non-finite.
+One kernel, `_sgd_kernel`, computes a batch's loss and gradient, reading
+the parameters through per-layer (weights, bias) views of a raw float64
+array. Its order: one forward pass to the logits; the row max m,
+exp(logits - m) and the row sums s, which give both the per-sample
+cross-entropy m + log(s) - logit[label] and the probabilities exp(...) / s;
+the mean loss; the backward pass, adding l2 * weights to each weight
+gradient last. The gradient goes into one flat buffer with the parameters'
+layout, each layer's written in place through views of it, so `_sgd`
+updates all parameters at once, `current -= lr * grad`, and checks once
+per batch that they and the loss are still finite. Only when they are not
+does it test the gradient, then the loss, to name in the error the first of
+gradient, loss and parameters that is non-finite.
+
+The kernel and `_sgd` run on any rank. `local_train` is one lane on 2-D
+arrays. `train_lockstep` trains many clients as the lanes of one stack:
+(C, P) parameters, (C, n, d) features, one seed and one permutation per
+lane and epoch. A batched matmul runs one product per lane with that lane's
+shapes, every other step is elementwise or per row, and each lane's mean
+loss is a sequential cumulative sum, so every lane gets its one-lane result
+bit for bit. A lane that diverges leaves the stack with the message its
+one-lane run would raise. Evaluation is stacked the same way, and
+`evaluate` is its one-lane case. STACK_BYTES caps a stack's bytes, as
+STACK_SAMPLES caps deploy scoring's stacks.
 """
 
 from __future__ import annotations
@@ -47,6 +58,7 @@ INIT_SPAN = 0.05  # seeded init draws from [-INIT_SPAN, +INIT_SPAN]
 _MAX_SEED = 2**64
 
 STACK_SAMPLES = 256  # samples per stacked forward pass in accuracies
+STACK_BYTES = 1 << 22  # bytes of a train_lockstep stack: train and test features, parameter buffers
 
 
 def seq_sum(values: Iterable[float]) -> float:
@@ -224,22 +236,25 @@ def layer_shapes(arch: ArchDescriptor) -> list[tuple[tuple[int, int], int]]:
 
 
 def unpack(params: ParameterVector, arch: ArchDescriptor) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat vector into per-layer (weights, bias) read-only views."""
+    """Split a flat vector into per-layer (weights, bias row) read-only views."""
     return _layers(params.values, arch)
 
 
 def _layers(flat: np.ndarray, arch: ArchDescriptor) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weights, bias) views of a flat array; writes go through."""
-    if flat.shape[0] != arch.parameter_count:
+    """Per-layer (weights, bias) views of a flat array, or of a (C, P) stack
+    of them, whose leading axis they keep; writes go through. A bias is a
+    (1, len) row, so that it broadcasts over a batch's samples."""
+    if flat.shape[-1] != arch.parameter_count:
         raise ValueError(
-            f"parameter vector has {flat.shape[0]} entries, arch needs {arch.parameter_count}"
+            f"parameter vector has {flat.shape[-1]} entries, arch needs {arch.parameter_count}"
         )
+    lead = flat.shape[:-1]
     out = []
     pos = 0
     for (rows, cols), blen in layer_shapes(arch):
-        w = flat[pos : pos + rows * cols].reshape(rows, cols)
+        w = flat[..., pos : pos + rows * cols].reshape(lead + (rows, cols))
         pos += rows * cols
-        b = flat[pos : pos + blen]
+        b = flat[..., pos : pos + blen].reshape(lead + (1, blen))
         pos += blen
         out.append((w, b))
     return out
@@ -280,19 +295,25 @@ def _check_fit(arch: ArchDescriptor, data: Dataset, what: str) -> None:
 
 
 def _logits(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
-    """Returns (logits, hidden activations or None)."""
+    """Returns (logits, hidden activations or None) for x (n, d), or for a
+    (C, n, d) stack against stacked layers or one shared model. Each sum
+    lands in its product's array, which a stack's size makes worth it."""
+    z = x @ layers[0][0]
+    z += layers[0][1]
     if len(layers) == 1:
-        w, b = layers[0]
-        return x @ w + b, None
-    (w1, b1), (w2, b2) = layers
-    hidden = np.tanh(x @ w1 + b1)
-    return hidden @ w2 + b2, hidden
+        return z, None
+    hidden = np.tanh(z, out=z)
+    (w2, b2) = layers[1]
+    z = hidden @ w2
+    z += b2
+    return z, hidden
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray | None = None):
-    """Per-sample cross-entropy, exp(logits - row max) and its row sums.
+    """Per-sample cross-entropy, exp(logits - row max) and its row sums, for
+    (M, k) logits and (M,) labels.
 
-    `rows` is np.arange(len(labels)), passed by a caller that reuses it.
+    `rows` is np.arange(M), passed by a caller that reuses it.
     """
     if rows is None:
         rows = np.arange(labels.shape[0])
@@ -301,6 +322,23 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray | No
     sums = expd.sum(axis=1, keepdims=True)
     ce = m[:, 0] + np.log(sums[:, 0]) - logits[rows, labels]
     return ce, expd, sums
+
+
+def _merge_lanes(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One lane's (n, k) logits and (n,) labels as they are; a stack's
+    (C, n, k) and (C, n) with the lanes' rows merged, for one pass over all."""
+    if labels.ndim == 1:
+        return logits, labels
+    return logits.reshape(-1, logits.shape[-1]), labels.reshape(-1)
+
+
+def _means(values: np.ndarray, n: int) -> list[float]:
+    """The mean of each lane's n consecutive entries of flat `values`,
+    summed strictly left to right as seq_sum does: by seq_sum for one lane,
+    by one cumulative sum for a stack."""
+    if values.shape[0] == n:
+        return [seq_sum(values.tolist()) / n]
+    return (np.cumsum(values.reshape(-1, n), axis=1)[:, -1] / n).tolist()
 
 
 def _penalty(flat: np.ndarray, mask: np.ndarray | None, l2: float) -> float:
@@ -317,65 +355,84 @@ def _sgd_kernel(
     x: np.ndarray,
     labels: np.ndarray,
     l2: float,
-) -> float:
-    """One forward and one backward pass over a batch.
+) -> list[float]:
+    """One forward and one backward pass over a batch, of one lane or of a
+    stack of them.
 
-    Returns the mean cross-entropy, without the penalty. Writes the gradient
-    of mean cross-entropy plus (l2/2)*||weights||^2 into `grads`, per-layer
-    (weights, bias) views of one flat buffer in the parameters' layout: each
-    product and bias sum lands in its view through `out=`, and the penalty
-    term is added in place last. Every entry is overwritten, so the buffer
-    needs no clearing between batches.
+    Returns each lane's mean cross-entropy, without the penalty. Writes the
+    gradient of mean cross-entropy plus (l2/2)*||weights||^2 into `grads`,
+    per-layer (weights, bias) views of one buffer in the parameters' layout:
+    each product and bias sum lands in its view through `out=`, and the
+    penalty term is added in place last. Every entry is overwritten, so the
+    buffer needs no clearing between batches.
     """
-    n = labels.shape[0]
-    rows = np.arange(n)
+    n = labels.shape[-1]
     logits, hidden = _logits(layers, x)
-    ce, dlogits, sums = _cross_entropy(logits, labels, rows)
-    loss = seq_sum(ce.tolist()) / n
+    flat, flat_labels = _merge_lanes(logits, labels)
+    rows = np.arange(flat_labels.shape[0])
+    ce, dlogits, sums = _cross_entropy(flat, flat_labels, rows)
+    losses = _means(ce, n)
     dlogits /= sums  # softmax probabilities
-    dlogits[rows, labels] -= 1.0
+    dlogits[rows, flat_labels] -= 1.0
     dlogits /= n
+    if flat is not logits:
+        dlogits = dlogits.reshape(logits.shape)
 
     if hidden is None:
         ((gw, gb),) = grads
-        np.matmul(x.T, dlogits, out=gw)
-        dlogits.sum(axis=0, out=gb)
+        np.matmul(x.swapaxes(-1, -2), dlogits, out=gw)
+        dlogits.sum(axis=-2, keepdims=True, out=gb)
     else:
         (gw1, gb1), (gw2, gb2) = grads
-        np.matmul(hidden.T, dlogits, out=gw2)
-        dlogits.sum(axis=0, out=gb2)
-        dpre = dlogits @ layers[1][0].T
-        dpre *= 1.0 - hidden * hidden
-        np.matmul(x.T, dpre, out=gw1)
-        dpre.sum(axis=0, out=gb1)
+        np.matmul(hidden.swapaxes(-1, -2), dlogits, out=gw2)
+        dlogits.sum(axis=-2, keepdims=True, out=gb2)
+        dpre = dlogits @ layers[1][0].swapaxes(-1, -2)
+        slope = np.multiply(hidden, hidden, out=hidden)  # hidden is not read again
+        np.subtract(1.0, slope, out=slope)
+        dpre *= slope
+        np.matmul(x.swapaxes(-1, -2), dpre, out=gw1)
+        dpre.sum(axis=-2, keepdims=True, out=gb1)
     if l2 != 0.0:
         for (w, _), (gw, _) in zip(layers, grads):
             gw += l2 * w
-    return loss
+    return losses
+
+
+def _reports(layers, x: np.ndarray, labels: np.ndarray, k: int) -> list[EvalReport]:
+    """The EvalReport of one lane (x (n, d), n >= 1) or of each lane of a
+    (C, n, d) stack, scored in one forward pass. A finite model whose logits
+    overflow scores a non-finite loss."""
+    n = labels.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = _logits(layers, x)
+        losses = _means(_cross_entropy(*_merge_lanes(logits, labels))[0], n)
+    correct = logits.argmax(axis=-1) == labels  # first max wins
+    if correct.ndim == 1:
+        hits = [np.count_nonzero(correct)]
+    else:
+        hits = np.count_nonzero(correct, axis=1).tolist()
+    return [
+        EvalReport(loss, int(h) / n, n, tuple(np.bincount(y, minlength=k).tolist()))
+        for loss, h, y in zip(losses, hits, labels.reshape(-1, n))
+    ]
+
+
+def _degenerate(k: int) -> EvalReport:
+    return EvalReport(0.0, 0.0, 0, tuple([0] * k), degenerate=True)
 
 
 def evaluate(params: ParameterVector, arch: ArchDescriptor, data: Dataset) -> EvalReport:
-    """Mean cross-entropy and accuracy on the given data.
+    """Mean cross-entropy and accuracy on the given data: the one-lane case
+    of the stacked scoring in train_lockstep.
 
     Empty data yields a degenerate report (zero loss/accuracy) rather than an
     error. Argmax ties resolve to the lowest class index. A finite model
     whose logits overflow scores a non-finite loss, which callers handle.
     """
     _check_fit(arch, data, "data")
-    k = arch.num_classes
     if len(data) == 0:
-        return EvalReport(0.0, 0.0, 0, tuple([0] * k), degenerate=True)
-    n = len(data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits, _ = _logits(unpack(params, arch), data.features)
-        loss = seq_sum(_cross_entropy(logits, data.labels)[0].tolist()) / n
-    counts = np.bincount(data.labels, minlength=k)
-    return EvalReport(loss, _accuracy(logits, data.labels), n, tuple(int(c) for c in counts))
-
-
-def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    predicted = logits.argmax(axis=1)  # first max wins on ties
-    return int(np.count_nonzero(predicted == labels)) / labels.shape[0]
+        return _degenerate(arch.num_classes)
+    return _reports(unpack(params, arch), data.features, data.labels, arch.num_classes)[0]
 
 
 def accuracies(cases: Iterable[tuple[list[tuple[np.ndarray, np.ndarray]], Dataset]]) -> list[float]:
@@ -416,13 +473,108 @@ def accuracies(cases: Iterable[tuple[list[tuple[np.ndarray, np.ndarray]], Datase
 # ---------------------------------------------------------------------------
 
 
+def _check_train(arch: ArchDescriptor, data: Dataset, hp: Hyperparameters) -> None:
+    n = len(data)
+    if n == 0:
+        raise ValueError("empty training data")
+    if hp.batch_size > n:
+        raise ValueError(f"batch_size {hp.batch_size} exceeds shard size {n}")
+    _check_fit(arch, data, "data")
+
+
+def _non_finite(grad: np.ndarray, losses: list[float], current: np.ndarray) -> list[str | None]:
+    """Per lane, the first of gradient, loss and parameters that is not
+    finite, or None for a lane that is."""
+    out: list[str | None] = []
+    for g, loss, p in zip(grad.reshape(len(losses), -1), losses, current.reshape(len(losses), -1)):
+        if not np.isfinite(g).all():
+            out.append("gradient")
+        elif not math.isfinite(loss):
+            out.append("loss")
+        elif not np.isfinite(p).all():
+            out.append("parameters")
+        else:
+            out.append(None)
+    return out
+
+
+def _sgd(
+    current: np.ndarray,
+    arch: ArchDescriptor,
+    features: np.ndarray,
+    labels: np.ndarray,
+    hp: Hyperparameters,
+    rngs: list[np.random.Generator],
+) -> tuple[np.ndarray, list[int], dict[int, DivergenceError]]:
+    """Minibatch SGD on `current`, in place: one lane, or a stack of lanes.
+
+    One lane: current (P,), features (n, d), labels (n,) and one generator,
+    run on 2-D arrays; a divergence raises. A stack of C lanes: current
+    (C, P), features (C, n, d), labels (C, n) and one generator per lane. A
+    lane that diverges leaves the stack with its DivergenceError, and the
+    others go on as if it had never been in it. Each lane draws its own
+    permutation each epoch. Returns the surviving rows, their lane indices
+    and {lane: error} for the others.
+    """
+    stacked = current.ndim == 2
+    n = labels.shape[-1]
+    lanes = list(range(len(rngs)))
+    errors: dict[int, DivergenceError] = {}
+    mask = weight_mask(arch) if hp.l2 != 0.0 else None
+
+    def views():
+        """Buffers and views over the current stack; lane c's samples sit
+        at rows c*n..(c+1)*n of the flat features."""
+        grad, step = np.empty_like(current), np.empty_like(current)
+        offsets = np.arange(len(lanes))[:, None] * n if stacked else 0
+        flat_x, flat_y = features.reshape(-1, features.shape[-1]), labels.reshape(-1)
+        return grad, step, _layers(current, arch), _layers(grad, arch), flat_x, flat_y, offsets
+
+    grad, step, layers, grads, flat_x, flat_y, offsets = views()
+    # overflow poisons the loss, gradient or parameters; the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hp.epochs):
+            perms = [rng.permutation(n) for rng in rngs]
+            order = np.stack(perms) + offsets if stacked else perms[0]
+            for bi, start in enumerate(range(0, n, hp.batch_size)):
+                idx = order[..., start : start + hp.batch_size]
+                losses = _sgd_kernel(layers, grads, flat_x[idx], flat_y[idx], hp.l2)
+                if mask is not None:
+                    rows = current.reshape(len(lanes), -1)
+                    losses = [loss + _penalty(w, mask, hp.l2) for loss, w in zip(losses, rows)]
+                current -= np.multiply(grad, hp.learning_rate, out=step)
+                # a non-finite gradient always leaves the update non-finite,
+                # lr 0 included (0 * inf is nan), so one check covers all three
+                if all(map(math.isfinite, losses)) and np.isfinite(current).all():
+                    continue
+                whats = _non_finite(grad, losses, current)
+                for lane, what in zip(lanes, whats):
+                    if what is not None:
+                        errors[lane] = DivergenceError(
+                            f"non-finite {what} at epoch {epoch + 1} batch {bi + 1}"
+                        )
+                if not stacked:
+                    raise errors[0]
+                keep = [what is None for what in whats]
+                lanes = [lane for lane, k in zip(lanes, keep) if k]
+                rngs = [rng for rng, k in zip(rngs, keep) if k]
+                perms = [p for p, k in zip(perms, keep) if k]
+                current, features, labels = current[keep], features[keep], labels[keep]
+                if not lanes:
+                    return current, lanes, errors
+                grad, step, layers, grads, flat_x, flat_y, offsets = views()
+                order = np.stack(perms) + offsets
+    return current, lanes, errors
+
+
 def local_train(
     params: ParameterVector,
     arch: ArchDescriptor,
     data: Dataset,
     hp: Hyperparameters,
 ) -> ParameterVector:
-    """Minibatch SGD over `data`, shuffled per epoch from hp.seed.
+    """Minibatch SGD over `data`, shuffled per epoch from hp.seed: the
+    one-lane case of train_lockstep.
 
     Pure: equal inputs give bit-identical outputs. Batches are consecutive
     slices of the shuffled order; a short trailing batch is kept. Data that
@@ -430,39 +582,93 @@ def local_train(
     batch gradient, loss or updated parameter vector aborts with
     DivergenceError naming the epoch and batch.
     """
-    n = len(data)
-    if n == 0:
-        raise ValueError("empty training data")
-    if hp.batch_size > n:
-        raise ValueError(f"batch_size {hp.batch_size} exceeds shard size {n}")
-    _check_fit(arch, data, "data")
-    current = params.values.copy()
-    grad = np.empty_like(current)
-    layers = _layers(current, arch)
-    grads = _layers(grad, arch)
-    mask = weight_mask(arch) if hp.l2 != 0.0 else None
+    _check_train(arch, data, hp)
     rng = np.random.default_rng(hp.seed)
-    # overflow poisons the loss, gradient or parameters; the check below names it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(hp.epochs):
-            order = rng.permutation(n)
-            for bi, start in enumerate(range(0, n, hp.batch_size)):
-                idx = order[start : start + hp.batch_size]
-                loss = _sgd_kernel(layers, grads, data.features[idx], data.labels[idx], hp.l2)
-                loss += _penalty(current, mask, hp.l2)
-                current -= hp.learning_rate * grad
-                # a non-finite gradient always leaves the update non-finite,
-                # lr 0 included (0 * inf is nan), so one check covers all three
-                if not (math.isfinite(loss) and np.isfinite(current).all()):
-                    if not np.isfinite(grad).all():
-                        what = "gradient"
-                    elif not math.isfinite(loss):
-                        what = "loss"
-                    else:
-                        what = "parameters"
-                    raise DivergenceError(f"non-finite {what} at epoch {epoch + 1} batch {bi + 1}")
+    current, _, _ = _sgd(params.values.copy(), arch, data.features, data.labels, hp, [rng])
     # a copy of a finite vector, checked finite after every batch
     return ParameterVector._derived(current)
+
+
+Lane = tuple[ParameterVector, Hyperparameters, Dataset, Dataset]  # start, hp, train, test
+
+
+def train_lockstep(
+    lanes: list[Lane], arch: ArchDescriptor
+) -> list[tuple[ParameterVector, EvalReport] | tuple[DivergenceError, None]]:
+    """local_train from each lane's start on its train set, then evaluate on
+    its test set, for many clients at once.
+
+    Lanes that share a train size and every hyperparameter but the seed
+    train as one stack of at most STACK_BYTES (train and test features,
+    parameters, gradient and step; one lane per stack past that). Batched
+    matmuls run one product per lane with the lane's own shapes, and every
+    other step is elementwise or per row, so each lane's result equals its
+    one-lane local_train and evaluate bit for bit. Survivors with equal
+    test sizes are scored in one stack too. A stack of one lane is that
+    lane's local_train and evaluate, on its own arrays. Per lane: (trained
+    vector, report), or (DivergenceError, None) for a lane that diverged,
+    with the message local_train would raise.
+    """
+    out: list = [None] * len(lanes)
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, hp, train, test) in enumerate(lanes):
+        _check_train(arch, train, hp)
+        _check_fit(arch, test, "data")
+        key = (len(train), hp.learning_rate, hp.epochs, hp.batch_size, hp.l2)
+        groups.setdefault(key, []).append(i)
+    for (n, *_), members in groups.items():
+        n_test = max(len(lanes[i][3]) for i in members)
+        lane_bytes = 8 * ((n + n_test) * arch.input_dim + 3 * arch.parameter_count)
+        per_stack = max(1, STACK_BYTES // lane_bytes)
+        for s in range(0, len(members), per_stack):
+            stack = members[s : s + per_stack]
+            if len(stack) == 1:
+                out[stack[0]] = _one_lane(*lanes[stack[0]], arch)
+                continue
+            current, survivors, errors = _sgd(
+                np.stack([lanes[i][0].values for i in stack]),
+                arch,
+                np.stack([lanes[i][2].features for i in stack]),
+                np.stack([lanes[i][2].labels for i in stack]),
+                lanes[stack[0]][1],
+                [np.random.default_rng(lanes[i][1].seed) for i in stack],
+            )
+            for j, err in errors.items():
+                out[stack[j]] = (err, None)
+            tests = [lanes[stack[j]][3] for j in survivors]
+            for j, row, report in zip(survivors, current, _stack_reports(current, arch, tests)):
+                # a row of a stack no one writes again, checked finite after every batch
+                out[stack[j]] = (ParameterVector._derived(row), report)
+    return out
+
+
+def _one_lane(
+    start: ParameterVector, hp: Hyperparameters, train: Dataset, test: Dataset, arch: ArchDescriptor
+) -> tuple[ParameterVector, EvalReport] | tuple[DivergenceError, None]:
+    try:
+        trained = local_train(start, arch, train, hp)
+    except DivergenceError as e:
+        return e, None
+    return trained, evaluate(trained, arch, test)
+
+
+def _stack_reports(
+    current: np.ndarray, arch: ArchDescriptor, tests: list[Dataset]
+) -> list[EvalReport]:
+    """evaluate of each row of `current` on its test set, rows with equal
+    test sizes in one stack."""
+    out: list[EvalReport] = [_degenerate(arch.num_classes)] * len(tests)
+    by_size: dict[int, list[int]] = {}
+    for i, test in enumerate(tests):
+        if len(test):
+            by_size.setdefault(len(test), []).append(i)
+    for members in by_size.values():
+        layers = _layers(current[members], arch)
+        x = np.stack([tests[i].features for i in members])
+        labels = np.stack([tests[i].labels for i in members])
+        for i, report in zip(members, _reports(layers, x, labels, arch.num_classes)):
+            out[i] = report
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,15 @@ the async mode replays an event queue of wave timers and message
 deliveries. Every mode runs the same client step, `_client_updates`: each
 delivered broadcast goes through ClientRuntime.handle_broadcast (train,
 evaluate, upload gate, package), the outcome is logged, and the upload
-candidates come back for the mode to send and aggregate. A synchronous
-round ends in `_run_sync_round` alone: its mode's exchange returns the
-arrived envelopes in ledger order, with their aggregate, or why the round
-failed, and the round logs the failure or archives, credits and mints.
+candidates come back for the mode to send and aggregate. Secure and gossip
+rounds use every client's result before their first send, so their clients
+train in lockstep: each client's start stage, one train_lockstep over all
+of them, then each client's finish stage and log rows in delivery order,
+as one at a time would give them. A synchronous round ends in
+`_run_sync_round` alone: its mode's exchange returns the arrived envelopes
+in ledger order, with their aggregate, or why the round failed with the
+uploads that arrived all the same. The round archives, credits and mints,
+or logs the failure; either way it drops the clients that did not answer.
 Every random draw is keyed by the master seed plus a salt, so a config
 replays to byte-identical artifacts (run_meta.json, which records
 wall-clock timestamps, is the single exception).
@@ -103,6 +108,7 @@ from .models import (
     local_train,
     save_checkpoint,
     seq_sum,
+    train_lockstep,
     unpack,
 )
 from .monitoring import (
@@ -136,6 +142,15 @@ class RunResult:
     ledger: VersionLedger
     version_params: dict[str, ParameterVector]
     round_failures: list[dict]  # the round_failed events, in order
+
+
+@dataclass
+class _RoundFailure:
+    """Why a synchronous round's exchange aggregated nothing, and the
+    uploads that arrived all the same."""
+
+    reason: str
+    arrivals: list[UpdateEnvelope]
 
 
 def _flip_labels(ds: Dataset, fraction: float, rng: np.random.Generator) -> Dataset:
@@ -174,7 +189,12 @@ class ExperimentRunner:
                 f"({len(smallest.train)} samples, client {smallest.client_id})"
             )
         self.holdout = make_holdout(cfg.synthetic, cfg.holdout_n, seed=cfg.seed)
-        self.monitor_stream = make_holdout(cfg.synthetic, cfg.holdout_n, seed=MONITOR_STREAM_SALT)
+        # only the monitor reads its stream
+        self.monitor_stream = (
+            make_holdout(cfg.synthetic, cfg.holdout_n, seed=MONITOR_STREAM_SALT)
+            if cfg.has(FLAG_MONITOR)
+            else None
+        )
 
         self.registry = ClientRegistry()
         resources = wire.id_streams([cfg.seed, RESOURCE_SALT, np.arange(cfg.n_clients)])
@@ -312,14 +332,16 @@ class ExperimentRunner:
     def _inject_drift(self, r: int) -> None:
         cfg = self.cfg
         frac = cfg.drift_flip_fraction
-        # the clients' streams, then the monitor stream's under id n_clients
+        # the clients' streams, then the monitor stream's under id n_clients;
+        # each id draws from its own stream, so skipping one moves no other
         streams = wire.id_streams([cfg.seed, DRIFT_SALT, np.arange(cfg.n_clients + 1)])
         for rt, (_, rng) in zip(self.runtimes.values(), streams):
             train = _flip_labels(rt.shard.train, frac, rng)
             test = _flip_labels(rt.shard.test, frac, rng)
             rt.shard = replace(rt.shard, train=train, test=test)
-        _, rng = next(streams)
-        self.monitor_stream = _flip_labels(self.monitor_stream, frac, rng)
+        if self.monitor_stream is not None:
+            _, rng = next(streams)
+            self.monitor_stream = _flip_labels(self.monitor_stream, frac, rng)
         self._log({"event": "drift_injected", "round": r, "flip_fraction": frac})
 
     def _drop_nonresponders(self, r: int, selected, responded) -> None:
@@ -501,17 +523,29 @@ class ExperimentRunner:
             if env.delivered_at is not None:
                 yield cid, env.delivered_at
 
-    def _client_updates(self, r, deliveries, pkg_for):
+    def _client_updates(self, r, deliveries, pkg_for, lockstep=False):
         """Run the client step for each delivered (client, time): train,
-        evaluate, gate and package through handle_broadcast, and log the
-        outcome. Yields (client, time, envelope) for each upload candidate.
+        evaluate, gate and package, and log the outcome. Yields (client,
+        time, envelope) for each upload candidate.
+
+        One client at a time, each through handle_broadcast, as `deliveries`
+        yields them. In `lockstep`, every delivered client trains and is
+        scored first, as lanes of train_lockstep's stacks, and then each is
+        finished and logged in delivery order: the same outcomes, events
+        and draws.
 
         Raises DivergenceError once `deliveries` runs out if every client
         that trained diverged.
         """
+        if lockstep:
+            outcomes = self._lockstep_outcomes(r, list(deliveries), pkg_for)
+        else:
+            outcomes = (
+                (cid, t, self.runtimes[cid].handle_broadcast(pkg_for(cid), r))
+                for cid, t in deliveries
+            )
         trained = diverged = 0
-        for cid, t in deliveries:
-            out = self.runtimes[cid].handle_broadcast(pkg_for(cid), r)
+        for cid, t, out in outcomes:
             trained += 1
             if isinstance(out, Withheld):
                 if out.reason == WITHHELD_DIVERGENCE:
@@ -532,6 +566,18 @@ class ExperimentRunner:
             yield cid, t, out
         if trained and diverged == trained:
             raise DivergenceError(f"round {r}: every training client diverged")
+
+    def _lockstep_outcomes(self, r, deliveries, pkg_for):
+        """(client, time, handle_broadcast's outcome) for each delivery, the
+        training and scoring done for all of them at once."""
+        pkgs = [pkg_for(cid) for cid, _ in deliveries]
+        runtimes = [self.runtimes[cid] for cid, _ in deliveries]
+        lanes = [
+            (*rt.start(pkg, r), rt.shard.train, rt.shard.test) for rt, pkg in zip(runtimes, pkgs)
+        ]
+        results = train_lockstep(lanes, self.cfg.arch)
+        for (cid, t), rt, pkg, (trained, report) in zip(deliveries, runtimes, pkgs, results):
+            yield cid, t, rt.finish(pkg, r, trained, report)
 
     def _upload(self, label, sender, receiver, nbytes, sent_at, r, cutoff=None) -> float | None:
         """Send one upload; its arrival time, or None if it is lost or lands
@@ -570,16 +616,19 @@ class ExperimentRunner:
         }.get(cfg.aggregation_mode, self._fedavg_exchange)
         out = exchange(r, pkg, delivered, cutoff)
         self.clock = max(self.clock, self._round_max_time) if cutoff is None else cutoff
-        if isinstance(out, str):
-            self._log({"event": "round_failed", "round": r, "reason": out})
-            out = None, [], [], {}
+        if isinstance(out, _RoundFailure):
+            # what arrived is neither archived nor credited; only the
+            # clients whose upload never arrived are dropped
+            self._log({"event": "round_failed", "round": r, "reason": out.reason})
+            self._drop_nonresponders(r, selected, [env.client_id for env in out.arrivals])
+            self._post_round(r)
+            return
         agg, arrivals, weighted, detail = out
         contributors = [self._accept(env) for env in arrivals]
         self._drop_nonresponders(r, selected, [env.client_id for env in arrivals])
-        if agg is not None:
-            params = with_head(agg, pkg.params.values, self.body_len)
-            self._mint(params, contributors, r, cfg.aggregation_mode, detail)
-            self._update_cluster_models(params, weighted, pkg.params)
+        params = with_head(agg, pkg.params.values, self.body_len)
+        self._mint(params, contributors, r, cfg.aggregation_mode, detail)
+        self._update_cluster_models(params, weighted, pkg.params)
         self._post_round(r)
 
     def _fedavg_exchange(self, r, pkg, delivered, cutoff):
@@ -589,7 +638,7 @@ class ExperimentRunner:
             if t_up is not None:
                 arrivals.append(env)
         if len(arrivals) < self.cfg.min_updates:
-            return "too few updates"
+            return _RoundFailure("too few updates", arrivals)
         arrivals.sort(key=lambda env: env.client_id)
         weighted = [
             WeightedUpdate(env.client_id, self._reconstruct(env, pkg.params), env.n_samples)
@@ -599,9 +648,12 @@ class ExperimentRunner:
 
     def _secure_exchange(self, r, pkg, delivered, cutoff):
         # masks are drawn over every committed client, so all train before any sends
-        commits = [(t, env) for _, t, env in self._client_updates(r, delivered, lambda _: pkg)]
+        commits = [
+            (t, env)
+            for _, t, env in self._client_updates(r, delivered, lambda _: pkg, lockstep=True)
+        ]
         if len(commits) < 2:
-            return "fewer than 2 masking participants"
+            return _RoundFailure("fewer than 2 masking participants", [])
         ids = [env.client_id for _, env in commits]
         round_seed = wire.fnv1a64(struct.pack("<QI", self.cfg.seed & 0xFFFFFFFFFFFFFFFF, r))
         pads = pairwise_pads(ids, round_seed)
@@ -633,7 +685,7 @@ class ExperimentRunner:
             agg = secure_sum(subs, total_n, ids)
         except SecureAbortError as e:
             self._log({"event": "secure_abort", "round": r, "reason": str(e)})
-            return "masking participant lost"
+            return _RoundFailure("masking participant lost", arrivals)
         arrivals.sort(key=lambda env: env.client_id)
         # masked submissions reveal no per-client update to cluster
         return agg, arrivals, [], {}
@@ -658,7 +710,8 @@ class ExperimentRunner:
         # every group has a member, so min_updates >= 1 also fails a round with
         # none; one whose groups survived with too few members has too few updates
         if len(arrivals) < self.cfg.min_updates:
-            return "too few updates" if groups else "no surviving edge groups"
+            reason = "too few updates" if groups else "no surviving edge groups"
+            return _RoundFailure(reason, arrivals)
         weighted = [
             WeightedUpdate(env.client_id, self._reconstruct(env, pkg.params), env.n_samples)
             for env in arrivals
@@ -683,7 +736,8 @@ class ExperimentRunner:
             pkgs = {
                 cid: ModelPackage(self.latest_vid, s, cfg.arch, cfg.hp) for cid, s in states.items()
             }
-            envs = {cid: env for cid, _, env in self._client_updates(r, nodes, pkgs.get)}
+            updates = self._client_updates(r, nodes, pkgs.get, lockstep=True)
+            envs = {cid: env for cid, _, env in updates}
             post_train = {
                 cid: envs[cid].payload if cid in envs else states[cid] for cid in graph.nodes
             }

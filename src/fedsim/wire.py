@@ -316,14 +316,15 @@ def _finite_or_null(value):
 
 
 def write_jsonl(path: str | Path, rows) -> None:
-    """One strict JSON object per line. JSON has no token for a non-finite
-    float, so one is written as null."""
+    """One strict JSON object per line, through one encoder per file. JSON
+    has no token for a non-finite float, so one is written as null."""
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
     with Path(path).open("w", encoding="utf-8") as fh:
         for row in rows:
             try:
-                line = json.dumps(row, sort_keys=True, allow_nan=False)
+                line = encode(row)
             except ValueError:
-                line = json.dumps(_finite_or_null(row), sort_keys=True, allow_nan=False)
+                line = encode(_finite_or_null(row))
             fh.write(line + "\n")
 
 

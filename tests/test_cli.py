@@ -112,6 +112,14 @@ def test_raw_features_past_float64_exit_two(tmp_path, capsys, key):
     assert not (tmp_path / "o").exists()
 
 
+def test_quantity_skew_past_the_partition_budget_exits_two(tmp_path, capsys):
+    skew = {"partition": {"mode": "quantity_skew", "sigma": 20.0}}
+    cfg = _write_config(tmp_path, {"n_clients": 4, "rounds": 1, "data": skew})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: data.partition.sigma" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_config_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

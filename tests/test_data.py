@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from fedsim import data
 from fedsim.data import (
     BLOCK_ROWS,
     ClientShard,
@@ -180,6 +181,25 @@ def test_quantity_skew_counts_past_int64_are_a_named_config_error():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=r"data\.partition\.sigma, data\.samples_per_client"):
             client_sample_counts(ps, SS, 4)
+
+
+def test_quantity_skew_counts_past_the_partition_budget_are_a_named_config_error():
+    # sigma 20 draws counts that fit int64 whose features would take terabytes
+    ps = PartitionSpec("quantity_skew", sigma=20.0, seed=0)
+    budget = r"^data\.partition\.sigma: .* past the partition budget of 1 GiB"
+    with pytest.raises(ConfigError, match=budget):
+        client_sample_counts(ps, SS, 4)
+
+
+def test_partition_budget_bounds_the_features_of_every_shard(monkeypatch):
+    ps = PartitionSpec("quantity_skew", sigma=1.0, seed=0)
+    counts = client_sample_counts(ps, SS, 4)
+    need = 8 * SS.input_dim * int(counts.sum())
+    monkeypatch.setattr(data, "PARTITION_BYTES", need)
+    assert np.array_equal(client_sample_counts(ps, SS, 4), counts)
+    monkeypatch.setattr(data, "PARTITION_BYTES", need - 1)
+    with pytest.raises(ConfigError, match=r"data\.partition\.sigma"):
+        client_sample_counts(ps, SS, 4)
 
 
 def test_shard_regeneration_is_client_local():

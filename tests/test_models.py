@@ -13,7 +13,6 @@ from fedsim.models import (
     EvalReport,
     Hyperparameters,
     ParameterVector,
-    _layers,
     _logits,
     accuracies,
     evaluate,
@@ -30,6 +29,7 @@ from gradcheck import (
     central_difference,
     finite_difference_gradient,
     loss_and_gradient,
+    reference_sgd,
 )
 
 LOGISTIC = ArchDescriptor("logistic", input_dim=4, hidden_dim=0, num_classes=3)
@@ -285,44 +285,6 @@ def test_batch_size_larger_than_shard_rejected():
         local_train(init_params(arch, "zeros"), arch, data, hp)
 
 
-def _fresh_array_gradient(values, arch, x, labels, l2):
-    """The batch gradient in the kernel's order of operations, with every
-    product and sum in a fresh array and the layers joined at the end."""
-    layers = _layers(values, arch)
-    acts = [x]  # each layer's input
-    for w, b in layers[:-1]:
-        acts.append(np.tanh(acts[-1] @ w + b))
-    w, b = layers[-1]
-    logits = acts[-1] @ w + b
-    expd = np.exp(logits - logits.max(axis=1, keepdims=True))
-    delta = expd / expd.sum(axis=1, keepdims=True)
-    delta[np.arange(labels.shape[0]), labels] -= 1.0
-    delta = delta / labels.shape[0]
-    parts = []
-    for i in reversed(range(len(layers))):
-        w, _ = layers[i]
-        gw = acts[i].T @ delta
-        if l2 != 0.0:
-            gw = gw + l2 * w
-        parts[:0] = [gw.ravel(), delta.sum(axis=0)]
-        if i:
-            delta = (delta @ w.T) * (1.0 - acts[i] * acts[i])
-    return np.concatenate(parts)
-
-
-def _reference_sgd(params, arch, data, hp):
-    """Per-batch SGD on a fresh parameter array per step."""
-    rng = np.random.default_rng(hp.seed)
-    current = params.values
-    for _ in range(hp.epochs):
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), hp.batch_size):
-            idx = order[start : start + hp.batch_size]
-            grad = _fresh_array_gradient(current, arch, data.features[idx], data.labels[idx], hp.l2)
-            current = current - hp.learning_rate * grad
-    return current
-
-
 @st.composite
 def _shard_and_batch(draw):
     """(shard size, batch size): batches of 1, one batch of the whole shard,
@@ -347,7 +309,7 @@ def test_local_train_equals_reference_sgd_bit_for_bit(arch, l2, shape, epochs, s
     params = init_params(arch, "seeded_uniform", seed=seed + 1)
     hp = Hyperparameters(learning_rate=0.3, epochs=epochs, batch_size=batch_size, l2=l2, seed=seed)
     trained = local_train(params, arch, data, hp)
-    assert np.array_equal(trained.values, _reference_sgd(params, arch, data, hp))
+    assert np.array_equal(trained.values, reference_sgd(params, arch, data, hp))
 
 
 @pytest.mark.parametrize(

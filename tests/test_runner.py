@@ -7,6 +7,7 @@ import re
 import runpy
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,26 @@ def test_all_broadcasts_dropped_leaves_root_model():
     assert all(m["version_id"] == "g0" for m in res.metrics)
 
 
+def _answered(events, r, deadline_s=None):
+    """The clients whose upload reached the server in round r, read off the
+    message events: directly, or through an edge whose forward arrived by
+    the deadline."""
+    msgs = [e for e in events if e["event"] == "message" and e["round"] == r]
+    start = min(e["sent_at"] for e in msgs if e["kind"] == "broadcast")
+    cutoff = float("inf") if deadline_s is None else start + deadline_s
+    arrived = [
+        e for e in msgs
+        if e["outcome"] == "delivered"
+        and (e["receiver"] != wire.SERVER_SENDER or e["delivered_at"] <= cutoff)
+    ]
+    edges = {e["sender"] for e in arrived if e["kind"] == "edge_update"}
+    return sorted(
+        e["sender"] for e in arrived
+        if e["kind"] in ("update", "masked_update")
+        and (e["receiver"] == wire.SERVER_SENDER or e["receiver"] in edges)
+    )
+
+
 @pytest.mark.parametrize(
     "raw, rounds, n_selected, reasons",
     [
@@ -95,7 +116,7 @@ def test_all_broadcasts_dropped_leaves_root_model():
     ],
     ids=["fedavg-min-updates", "secure-abort", "hierarchical-deadline", "hierarchical-min-updates"],
 )
-def test_failed_round_logs_its_reason_then_drops_every_selected_client(
+def test_failed_round_logs_why_and_drops_nonresponders(
     raw, rounds, n_selected, reasons
 ):
     run = ExperimentRunner(parse_config({**raw, "seed": 0, "rounds": rounds}))
@@ -103,15 +124,36 @@ def test_failed_round_logs_its_reason_then_drops_every_selected_client(
     assert res.ledger.versions() == ("g0",)
     assert [(m["n_selected"], m["n_received"]) for m in res.metrics] == [(n_selected, 0)] * rounds
     assert len(res.round_failures) == rounds
+    deadline = raw.get("round", {}).get("deadline_s")
     for r in range(rounds):
         ends = [
-            e.get("reason") if e["event"] == "round_failed" else e["event"]
+            e["client_id"] if e["event"] == "registry"
+            else e["reason"] if e["event"] == "round_failed"
+            else e["event"]
             for e in run.events
             if e["round"] == r
             and (e["event"] in ("secure_abort", "round_failed") or e.get("change") == "dropped")
         ]
-        # a failed round drops every selected client, those whose update arrived too
-        assert ends == reasons + ["registry"] * n_selected
+        # an upload that arrived is neither archived nor credited, and its
+        # client is not dropped
+        answered = _answered(run.events, r, deadline)
+        assert ends == reasons + sorted(set(range(n_selected)) - set(answered))
+    assert all(rec.rounds_participated == 0 for rec in run.registry.records())
+
+
+def test_failed_round_drops_the_clients_whose_update_did_not_arrive():
+    # at seed 0, 2, 3 and 1 of the 4 updates arrive in rounds 0-2, each too
+    # few for min_updates 4
+    raw = {"n_clients": 4, "rounds": 3, "round": {"min_updates": 4}, "net": {"dropout_prob": 0.3}}
+    run = ExperimentRunner(parse_config({**raw, "seed": 0}))
+    res = run.run()
+    assert [e["reason"] for e in res.round_failures] == ["too few updates"] * 3
+    dropped = [
+        [e["client_id"] for e in run.events if e.get("change") == "dropped" and e["round"] == r]
+        for r in range(3)
+    ]
+    assert dropped == [[1, 2], [3], [1, 2, 3]]
+    assert [_answered(run.events, r) for r in range(3)] == [[0, 3], [0, 1, 2], [0]]
     assert all(rec.rounds_participated == 0 for rec in run.registry.records())
 
 
@@ -179,6 +221,17 @@ def test_quantity_skew_counts_past_int64_stop_the_run():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=r"data\.partition\.sigma, data\.samples_per_client"):
             ExperimentRunner(parse_config(raw))
+
+
+def test_quantity_skew_counts_past_the_partition_budget_stop_the_run():
+    # the counts fit int64 but not in memory; the parent raised MemoryError
+    raw = {
+        "n_clients": 4,
+        "rounds": 1,
+        "data": {"partition": {"mode": "quantity_skew", "sigma": 20.0}},
+    }
+    with pytest.raises(ConfigError, match=r"data\.partition\.sigma: .* GiB of features"):
+        ExperimentRunner(parse_config(raw))
 
 
 def _merge_overflowing_from_wave(wave):
@@ -479,6 +532,24 @@ def test_drift_flips_the_labels_of_the_shard_each_client_trains_on():
         for got, was in ((rt.shard.train, before[cid].train), (rt.shard.test, before[cid].test)):
             assert got.features is was.features
             assert not np.array_equal(got.labels, was.labels)
+
+
+def test_monitor_stream_is_built_and_drifted_only_under_the_monitor():
+    # parse_config takes drift settings only with the monitor; a config built
+    # without it still drifts every client's shard as a monitored run does
+    monitored = _cfg(
+        rounds=3,
+        optional_components=["monitor"],
+        monitor={"drift_round": 1, "drift_flip_fraction": 0.5},
+    )
+    runs = [ExperimentRunner(c) for c in (monitored, replace(monitored, flags=frozenset()))]
+    assert runs[0].monitor_stream is not None
+    assert runs[1].monitor_stream is None
+    for run in runs:
+        run.run()
+    for a, b in zip(runs[0].runtimes.values(), runs[1].runtimes.values()):
+        assert np.array_equal(a.shard.train.labels, b.shard.train.labels)
+        assert np.array_equal(a.shard.test.labels, b.shard.test.labels)
 
 
 def test_incentive_total_matches_minted_versions(tmp_path):
