@@ -378,7 +378,7 @@ class ClientRuntime:
             return Withheld(self.client_id, round_index, WITHHELD_DIVERGENCE)
         body_len = self.body_len
         if body_len is not None:
-            self.head = trained.values[body_len:]
+            self.head = trained.values[body_len:].copy()  # not a view that pins a lockstep stack
         if not upload_gate(report, self.gate):
             return Withheld(self.client_id, round_index, WITHHELD_GATE, report)
         update = update_core(trained.values, body_len)

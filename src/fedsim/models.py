@@ -29,10 +29,11 @@ arrays. `train_lockstep` trains many clients as the lanes of one stack:
 lane and epoch. A batched matmul runs one product per lane with that lane's
 shapes, every other step is elementwise or per row, and each lane's mean
 loss is a sequential cumulative sum, so every lane gets its one-lane result
-bit for bit. A lane that diverges leaves the stack with the message its
-one-lane run would raise. Evaluation is stacked the same way, and
-`evaluate` is its one-lane case. STACK_BYTES caps a stack's bytes, as
-STACK_SAMPLES caps deploy scoring's stacks.
+bit for bit, in a stack of one too. A lane that diverges stays in its
+stack, with the message its one-lane run would raise, and changes no other
+lane. Evaluation is stacked the same way, and `evaluate` is its one-lane
+case. STACK_BYTES caps a stack's bytes, as STACK_SAMPLES caps deploy
+scoring's stacks.
 """
 
 from __future__ import annotations
@@ -505,32 +506,26 @@ def _sgd(
     labels: np.ndarray,
     hp: Hyperparameters,
     rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, list[int], dict[int, DivergenceError]]:
+) -> dict[int, DivergenceError]:
     """Minibatch SGD on `current`, in place: one lane, or a stack of lanes.
 
     One lane: current (P,), features (n, d), labels (n,) and one generator,
-    run on 2-D arrays; a divergence raises. A stack of C lanes: current
-    (C, P), features (C, n, d), labels (C, n) and one generator per lane. A
-    lane that diverges leaves the stack with its DivergenceError, and the
-    others go on as if it had never been in it. Each lane draws its own
-    permutation each epoch. Returns the surviving rows, their lane indices
-    and {lane: error} for the others.
+    run on 2-D arrays. A stack of C lanes: current (C, P), features
+    (C, n, d), labels (C, n) and one generator per lane. Each lane draws its
+    own permutation each epoch. Every step is lane-local, so a lane that
+    diverges stays in the stack, with the DivergenceError of its first
+    non-finite batch, and changes no other lane. Returns {lane: error}, and
+    stops as soon as every lane has one.
     """
     stacked = current.ndim == 2
     n = labels.shape[-1]
-    lanes = list(range(len(rngs)))
     errors: dict[int, DivergenceError] = {}
     mask = weight_mask(arch) if hp.l2 != 0.0 else None
-
-    def views():
-        """Buffers and views over the current stack; lane c's samples sit
-        at rows c*n..(c+1)*n of the flat features."""
-        grad, step = np.empty_like(current), np.empty_like(current)
-        offsets = np.arange(len(lanes))[:, None] * n if stacked else 0
-        flat_x, flat_y = features.reshape(-1, features.shape[-1]), labels.reshape(-1)
-        return grad, step, _layers(current, arch), _layers(grad, arch), flat_x, flat_y, offsets
-
-    grad, step, layers, grads, flat_x, flat_y, offsets = views()
+    grad, step = np.empty_like(current), np.empty_like(current)
+    layers, grads = _layers(current, arch), _layers(grad, arch)
+    # lane c's samples sit at rows c*n..(c+1)*n of the flat features
+    flat_x, flat_y = features.reshape(-1, features.shape[-1]), labels.reshape(-1)
+    offsets = np.arange(len(rngs))[:, None] * n if stacked else 0
     # overflow poisons the loss, gradient or parameters; the check below names it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(hp.epochs):
@@ -540,31 +535,21 @@ def _sgd(
                 idx = order[..., start : start + hp.batch_size]
                 losses = _sgd_kernel(layers, grads, flat_x[idx], flat_y[idx], hp.l2)
                 if mask is not None:
-                    rows = current.reshape(len(lanes), -1)
+                    rows = current.reshape(len(rngs), -1)
                     losses = [loss + _penalty(w, mask, hp.l2) for loss, w in zip(losses, rows)]
                 current -= np.multiply(grad, hp.learning_rate, out=step)
                 # a non-finite gradient always leaves the update non-finite,
                 # lr 0 included (0 * inf is nan), so one check covers all three
                 if all(map(math.isfinite, losses)) and np.isfinite(current).all():
                     continue
-                whats = _non_finite(grad, losses, current)
-                for lane, what in zip(lanes, whats):
-                    if what is not None:
+                for lane, what in enumerate(_non_finite(grad, losses, current)):
+                    if what is not None and lane not in errors:
                         errors[lane] = DivergenceError(
                             f"non-finite {what} at epoch {epoch + 1} batch {bi + 1}"
                         )
-                if not stacked:
-                    raise errors[0]
-                keep = [what is None for what in whats]
-                lanes = [lane for lane, k in zip(lanes, keep) if k]
-                rngs = [rng for rng, k in zip(rngs, keep) if k]
-                perms = [p for p, k in zip(perms, keep) if k]
-                current, features, labels = current[keep], features[keep], labels[keep]
-                if not lanes:
-                    return current, lanes, errors
-                grad, step, layers, grads, flat_x, flat_y, offsets = views()
-                order = np.stack(perms) + offsets
-    return current, lanes, errors
+                if len(errors) == len(rngs):
+                    return errors
+    return errors
 
 
 def local_train(
@@ -583,8 +568,10 @@ def local_train(
     DivergenceError naming the epoch and batch.
     """
     _check_train(arch, data, hp)
-    rng = np.random.default_rng(hp.seed)
-    current, _, _ = _sgd(params.values.copy(), arch, data.features, data.labels, hp, [rng])
+    current = params.values.copy()
+    errors = _sgd(current, arch, data.features, data.labels, hp, [np.random.default_rng(hp.seed)])
+    if errors:
+        raise errors[0]
     # a copy of a finite vector, checked finite after every batch
     return ParameterVector._derived(current)
 
@@ -603,11 +590,11 @@ def train_lockstep(
     parameters, gradient and step; one lane per stack past that). Batched
     matmuls run one product per lane with the lane's own shapes, and every
     other step is elementwise or per row, so each lane's result equals its
-    one-lane local_train and evaluate bit for bit. Survivors with equal
-    test sizes are scored in one stack too. A stack of one lane is that
-    lane's local_train and evaluate, on its own arrays. Per lane: (trained
-    vector, report), or (DivergenceError, None) for a lane that diverged,
-    with the message local_train would raise.
+    one-lane local_train and evaluate bit for bit, in a stack of any size,
+    one included. A lane that diverges stays in its stack and changes no
+    other lane. Survivors with equal test sizes are scored in one stack
+    too. Per lane: (trained vector, report), or (DivergenceError, None) for
+    a lane that diverged, with the message local_train would raise.
     """
     out: list = [None] * len(lanes)
     groups: dict[tuple, list[int]] = {}
@@ -622,11 +609,9 @@ def train_lockstep(
         per_stack = max(1, STACK_BYTES // lane_bytes)
         for s in range(0, len(members), per_stack):
             stack = members[s : s + per_stack]
-            if len(stack) == 1:
-                out[stack[0]] = _one_lane(*lanes[stack[0]], arch)
-                continue
-            current, survivors, errors = _sgd(
-                np.stack([lanes[i][0].values for i in stack]),
+            current = np.stack([lanes[i][0].values for i in stack])
+            errors = _sgd(
+                current,
                 arch,
                 np.stack([lanes[i][2].features for i in stack]),
                 np.stack([lanes[i][2].labels for i in stack]),
@@ -635,21 +620,14 @@ def train_lockstep(
             )
             for j, err in errors.items():
                 out[stack[j]] = (err, None)
-            tests = [lanes[stack[j]][3] for j in survivors]
-            for j, row, report in zip(survivors, current, _stack_reports(current, arch, tests)):
+            if errors:
+                keep = [j for j in range(len(stack)) if j not in errors]
+                stack, current = [stack[j] for j in keep], current[keep]
+            tests = [lanes[i][3] for i in stack]
+            for i, row, report in zip(stack, current, _stack_reports(current, arch, tests)):
                 # a row of a stack no one writes again, checked finite after every batch
-                out[stack[j]] = (ParameterVector._derived(row), report)
+                out[i] = (ParameterVector._derived(row), report)
     return out
-
-
-def _one_lane(
-    start: ParameterVector, hp: Hyperparameters, train: Dataset, test: Dataset, arch: ArchDescriptor
-) -> tuple[ParameterVector, EvalReport] | tuple[DivergenceError, None]:
-    try:
-        trained = local_train(start, arch, train, hp)
-    except DivergenceError as e:
-        return e, None
-    return trained, evaluate(trained, arch, test)
 
 
 def _stack_reports(

@@ -226,3 +226,42 @@ def test_lockstep_rounds_log_what_one_client_at_a_time_logs(monkeypatch, raw):
         return r.events
 
     assert run(True) == run(False)
+
+
+def test_a_stack_stops_once_every_lane_has_diverged(monkeypatch):
+    calls = []
+    kernel = models._sgd_kernel
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(models, "_sgd_kernel", counted)
+    start, hp, data, test = _divergence_case(LOGISTIC, 10.0, learning_rate=1e307, l2=0.0)
+    lanes = [
+        (start, Hyperparameters(hp.learning_rate, hp.epochs, hp.batch_size, hp.l2, s), data, test)
+        for s in (6, 7, 8)
+    ]
+    got = train_lockstep(lanes, LOGISTIC)
+    assert [str(err) for err, _ in got] == ["non-finite gradient at epoch 1 batch 2"] * 3
+    # 3 epochs of 3 batches, cut after the second
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(DivergenceError, match="at epoch 1 batch 2"):
+        local_train(start, LOGISTIC, data, hp)
+    assert len(calls) == 2
+
+
+def test_multitask_heads_of_lockstep_rounds_own_their_memory():
+    # a head sliced from the trained vector would keep the round's whole
+    # (C, P) stack alive until its client trains again
+    r = ExperimentRunner(parse_config({
+        "aggregation_mode": "secure", "n_clients": 200, "fraction_per_round": 0.1,
+        "rounds": 12, "init_mode": "seeded_uniform", "seed": 1,
+        "arch": {"kind": "mlp", "input_dim": 32, "hidden_dim": 64, "num_classes": 10},
+        "net": {"dropout_prob": 0.0}, "optional_components": ["multitask"],
+    }))
+    r.run()
+    heads = [rt.head for rt in r.runtimes.values() if rt.head is not None]
+    assert heads
+    assert all(head.base is None for head in heads)
