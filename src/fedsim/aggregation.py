@@ -387,8 +387,6 @@ class GossipGraph:
         if len(ordered) < 2:
             raise ValueError("a ring needs at least 2 nodes")
         edges = [(ordered[i], ordered[(i + 1) % len(ordered)]) for i in range(len(ordered))]
-        if len(ordered) == 2:
-            edges = [(ordered[0], ordered[1])]
         return cls(ordered, edges)
 
     def neighbors(self, node: int) -> tuple[int, ...]:

@@ -179,8 +179,6 @@ def compress(values: np.ndarray, top_k: float, bits: int) -> CompressedUpdate:
     the range 2m leaves float64.
     """
     spec = CompressionSpec(top_k, bits)  # validates both arguments
-    if isinstance(values, ParameterVector):
-        values = values.values
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] == 0:
         raise ValueError("values must be a non-empty 1-D array")

@@ -7,7 +7,7 @@ its spec and seeds, and each client's streams are independent, so
 regenerating one client never disturbs another.
 
 Shards are built in blocks: clients with one sample count, at most
-BLOCK_ROWS samples together. Each client still draws from its own streams,
+BLOCK_BYTES of features together. Each client still draws from its own streams,
 in the same order as alone; the label lookup, normalization and split then
 run once per block on stacked arrays, so a block gives every client the
 bytes it would get on its own. Blocks bound the temporaries of set-up.
@@ -40,7 +40,7 @@ AUGMENT_TV_TOLERANCE = 0.05
 AUGMENT_CAP_FACTOR = 10
 AUGMENT_JITTER_FACTOR = 0.1
 _CONSTANT_STD = 1e-12
-BLOCK_ROWS = 1024  # samples per shard-building block; bounds set-up's temporaries
+BLOCK_BYTES = 1 << 18  # feature bytes per shard-building block; bounds set-up's temporaries
 # float64 feature bytes that quantity-skew sample counts may draw for the
 # whole partition: past it, set-up could not hold the shards
 PARTITION_BYTES = 1 << 30
@@ -259,7 +259,7 @@ def partition(ps: PartitionSpec, ss: SyntheticSpec, n_clients: int) -> list[Clie
     start = 0
     while start < n_clients:
         n = int(counts[order[start]])
-        ids = order[start : start + max(1, BLOCK_ROWS // n)]
+        ids = order[start : start + max(1, BLOCK_BYTES // (8 * n * ss.input_dim))]
         ids = ids[counts[ids] == n]  # the equal counts lead the sorted slice
         for shard in build_block(ss, ids, weights[ids], n, streams):
             shards[shard.client_id] = shard

@@ -25,15 +25,16 @@ gradient, loss and parameters that is non-finite.
 
 The kernel and `_sgd` run on any rank. `local_train` is one lane on 2-D
 arrays. `train_lockstep` trains many clients as the lanes of one stack:
-(C, P) parameters, (C, n, d) features, one seed and one permutation per
-lane and epoch. A batched matmul runs one product per lane with that lane's
-shapes, every other step is elementwise or per row, and each lane's mean
-loss is a sequential cumulative sum, so every lane gets its one-lane result
-bit for bit, in a stack of one too. A lane that diverges stays in its
-stack, with the message its one-lane run would raise, and changes no other
-lane. Evaluation is stacked the same way, and `evaluate` is its one-lane
-case. STACK_BYTES caps a stack's bytes, as STACK_SAMPLES caps deploy
-scoring's stacks.
+(C, P) parameters, (C, n, d) features, one set of hyperparameters, and one
+seed and one permutation per lane and epoch. A batched matmul runs one
+product per lane with that lane's shapes, every other step is elementwise
+or per row, and each lane's mean loss is a sequential cumulative sum, so
+every lane gets its one-lane result bit for bit, in a stack of one too.
+Lanes with equal train and test sizes form one stack, which is trained and
+then scored on its stacked test sets, and `evaluate` is that scoring's
+one-lane case. A lane that diverges stays in its stack, with the message
+its one-lane run would raise, and changes no other lane. STACK_BYTES caps a
+stack's bytes, as STACK_SAMPLES caps deploy scoring's stacks.
 """
 
 from __future__ import annotations
@@ -576,76 +577,62 @@ def local_train(
     return ParameterVector._derived(current)
 
 
-Lane = tuple[ParameterVector, Hyperparameters, Dataset, Dataset]  # start, hp, train, test
+Lane = tuple[ParameterVector, int, Dataset, Dataset]  # start, seed, train, test
 
 
 def train_lockstep(
-    lanes: list[Lane], arch: ArchDescriptor
+    lanes: list[Lane], arch: ArchDescriptor, hp: Hyperparameters
 ) -> list[tuple[ParameterVector, EvalReport] | tuple[DivergenceError, None]]:
-    """local_train from each lane's start on its train set, then evaluate on
-    its test set, for many clients at once.
+    """local_train from each lane's start on its train set, with `hp` and
+    the lane's seed, then evaluate on its test set, for many clients at
+    once.
 
-    Lanes that share a train size and every hyperparameter but the seed
-    train as one stack of at most STACK_BYTES (train and test features,
-    parameters, gradient and step; one lane per stack past that). Batched
-    matmuls run one product per lane with the lane's own shapes, and every
-    other step is elementwise or per row, so each lane's result equals its
-    one-lane local_train and evaluate bit for bit, in a stack of any size,
-    one included. A lane that diverges stays in its stack and changes no
-    other lane. Survivors with equal test sizes are scored in one stack
-    too. Per lane: (trained vector, report), or (DivergenceError, None) for
-    a lane that diverged, with the message local_train would raise.
+    Lanes that share a train size and a test size train and are scored as
+    one stack of at most STACK_BYTES (train and test features, parameters,
+    gradient and step; one lane per stack past that). Batched matmuls run
+    one product per lane with the lane's own shapes, and every other step
+    is elementwise or per row, so each lane's result equals its one-lane
+    local_train and evaluate bit for bit, in a stack of any size, one
+    included. A lane that diverges stays in its stack and changes no other
+    lane; its row is scored with the others and the report dropped. Per
+    lane: (trained vector, report), or (DivergenceError, None) for a lane
+    that diverged, with the message local_train would raise.
     """
     out: list = [None] * len(lanes)
-    groups: dict[tuple, list[int]] = {}
-    for i, (_, hp, train, test) in enumerate(lanes):
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (_, _, train, test) in enumerate(lanes):
         _check_train(arch, train, hp)
         _check_fit(arch, test, "data")
-        key = (len(train), hp.learning_rate, hp.epochs, hp.batch_size, hp.l2)
-        groups.setdefault(key, []).append(i)
-    for (n, *_), members in groups.items():
-        n_test = max(len(lanes[i][3]) for i in members)
+        groups.setdefault((len(train), len(test)), []).append(i)
+    for (n, n_test), members in groups.items():
         lane_bytes = 8 * ((n + n_test) * arch.input_dim + 3 * arch.parameter_count)
         per_stack = max(1, STACK_BYTES // lane_bytes)
         for s in range(0, len(members), per_stack):
-            stack = members[s : s + per_stack]
-            current = np.stack([lanes[i][0].values for i in stack])
+            ids = members[s : s + per_stack]
+            stack = [lanes[i] for i in ids]
+            current = np.stack([start.values for start, *_ in stack])
             errors = _sgd(
                 current,
                 arch,
-                np.stack([lanes[i][2].features for i in stack]),
-                np.stack([lanes[i][2].labels for i in stack]),
-                lanes[stack[0]][1],
-                [np.random.default_rng(lanes[i][1].seed) for i in stack],
+                np.stack([train.features for *_, train, _ in stack]),
+                np.stack([train.labels for *_, train, _ in stack]),
+                hp,
+                [np.random.default_rng(seed) for _, seed, *_ in stack],
             )
-            for j, err in errors.items():
-                out[stack[j]] = (err, None)
-            if errors:
-                keep = [j for j in range(len(stack)) if j not in errors]
-                stack, current = [stack[j] for j in keep], current[keep]
-            tests = [lanes[i][3] for i in stack]
-            for i, row, report in zip(stack, current, _stack_reports(current, arch, tests)):
-                # a row of a stack no one writes again, checked finite after every batch
-                out[i] = (ParameterVector._derived(row), report)
-    return out
-
-
-def _stack_reports(
-    current: np.ndarray, arch: ArchDescriptor, tests: list[Dataset]
-) -> list[EvalReport]:
-    """evaluate of each row of `current` on its test set, rows with equal
-    test sizes in one stack."""
-    out: list[EvalReport] = [_degenerate(arch.num_classes)] * len(tests)
-    by_size: dict[int, list[int]] = {}
-    for i, test in enumerate(tests):
-        if len(test):
-            by_size.setdefault(len(test), []).append(i)
-    for members in by_size.values():
-        layers = _layers(current[members], arch)
-        x = np.stack([tests[i].features for i in members])
-        labels = np.stack([tests[i].labels for i in members])
-        for i, report in zip(members, _reports(layers, x, labels, arch.num_classes)):
-            out[i] = report
+            if n_test:
+                reports = _reports(
+                    _layers(current, arch),
+                    np.stack([test.features for *_, test in stack]),
+                    np.stack([test.labels for *_, test in stack]),
+                    arch.num_classes,
+                )
+            else:
+                reports = [_degenerate(arch.num_classes)] * len(stack)
+            for j, (i, row, report) in enumerate(zip(ids, current, reports)):
+                if j in errors:
+                    out[i] = (errors[j], None)
+                else:  # a row of a stack no one writes again, checked finite after every batch
+                    out[i] = (ParameterVector._derived(row), report)
     return out
 
 

@@ -271,6 +271,13 @@ class ExperimentRunner:
         self._tally: defaultdict[int, Counter] = defaultdict(Counter)
         self._round_max_time = 0.0
         self._t_start = time.monotonic()
+        # written once set-up has passed its checks, so a run that fails
+        # later still records what it ran
+        if self.out_dir is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            (self.out_dir / "config.json").write_text(
+                json.dumps(cfg.canonical, sort_keys=True, indent=2) + "\n"
+            )
 
     def _cluster_features(self) -> dict[int, np.ndarray]:
         cfg = self.cfg
@@ -572,10 +579,11 @@ class ExperimentRunner:
         training and scoring done for all of them at once."""
         pkgs = [pkg_for(cid) for cid, _ in deliveries]
         runtimes = [self.runtimes[cid] for cid, _ in deliveries]
+        starts = [rt.start(pkg, r) for rt, pkg in zip(runtimes, pkgs)]
         lanes = [
-            (*rt.start(pkg, r), rt.shard.train, rt.shard.test) for rt, pkg in zip(runtimes, pkgs)
+            (vec, hp.seed, rt.shard.train, rt.shard.test) for (vec, hp), rt in zip(starts, runtimes)
         ]
-        results = train_lockstep(lanes, self.cfg.arch)
+        results = train_lockstep(lanes, self.cfg.arch, self.cfg.hp)
         for (cid, t), rt, pkg, (trained, report) in zip(deliveries, runtimes, pkgs, results):
             yield cid, t, rt.finish(pkg, r, trained, report)
 
@@ -856,10 +864,6 @@ class ExperimentRunner:
     def _write_artifacts(self) -> None:
         cfg = self.cfg
         out = self.out_dir
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "config.json").write_text(
-            json.dumps(cfg.canonical, sort_keys=True, indent=2) + "\n"
-        )
         wire.write_jsonl(out / "metrics.jsonl", self.metrics)
         wire.write_jsonl(out / "event_log.jsonl", self.events)
         wire.write_jsonl(out / "deployments.jsonl", self.deployment_rows)

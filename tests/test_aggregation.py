@@ -524,14 +524,16 @@ def test_gossip_consensus_is_fixed_point():
 
 
 def test_gossip_two_node_path_averages():
-    graph = GossipGraph([0, 1], [(0, 1)])
-    assert graph.weight(0, 1) == 0.5
-    out = gossip_round(
-        graph,
-        {0: ParameterVector(np.array([0.0])), 1: ParameterVector(np.array([2.0]))},
-    )
-    assert np.array_equal(out[0].values, np.array([1.0]))
-    assert np.array_equal(out[1].values, np.array([1.0]))
+    # a ring of two nodes is this path: its edges (0, 1) and (1, 0) are one
+    for graph in (GossipGraph([0, 1], [(0, 1)]), GossipGraph.ring([0, 1])):
+        assert graph.edges == ((0, 1),)
+        assert graph.weight(0, 1) == 0.5
+        out = gossip_round(
+            graph,
+            {0: ParameterVector(np.array([0.0])), 1: ParameterVector(np.array([2.0]))},
+        )
+        assert np.array_equal(out[0].values, np.array([1.0]))
+        assert np.array_equal(out[1].values, np.array([1.0]))
 
 
 def test_gossip_ring8_converges_to_initial_mean():

@@ -7,7 +7,7 @@ from scipy import stats as scipy_stats
 
 from fedsim import data
 from fedsim.data import (
-    BLOCK_ROWS,
+    BLOCK_BYTES,
     ClientShard,
     PartitionSpec,
     SyntheticSpec,
@@ -244,10 +244,10 @@ def _reference_shard(ss, client_id, weights, n_samples):
 
 
 # (class_mean_scale, noise_sigma, samples_per_client, n_clients): one block;
-# blocks of BLOCK_ROWS // 300 clients and a remainder; every column constant
+# blocks of BLOCK_BYTES // (8 * 300 * 4) clients and a remainder; every column constant
 REFERENCE_CASES = [
     (2.0, 0.5, 12, 40),
-    (2.0, 0.5, 300, 2 * (BLOCK_ROWS // 300) + 1),
+    (2.0, 0.5, 300, 2 * (BLOCK_BYTES // (8 * 300 * 4)) + 1),
     (0.0, 0.0, 12, 7),
 ]
 
@@ -296,6 +296,43 @@ def test_partition_memory_is_bounded_by_blocks():
         a.nbytes for s in shards for ds in (s.train, s.test) for a in (ds.features, ds.labels)
     )
     assert peak - held <= 8 * 2**20
+
+
+def test_partition_memory_at_wide_inputs_is_bounded_by_block_bytes():
+    # a client holds 0.8 MiB of features at input_dim 10000; eight clients
+    # in one block, as a cap on samples built them, held ~14 MiB of temporaries
+    ss = SyntheticSpec(10, 10000, 1.0, 2.0, 10, seed=1)
+    ps = PartitionSpec("dirichlet_label_skew", alpha=0.5, seed=1)
+    ss.class_means  # cached on the spec; not a partition temporary
+    tracemalloc.start()
+    try:
+        shards = partition(ps, ss, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(
+        a.nbytes for s in shards for ds in (s.train, s.test) for a in (ds.features, ds.labels)
+    )
+    assert peak - held <= 4 * 2**20
+
+
+@pytest.mark.parametrize("cap", [1, 1 << 30], ids=["one-client-per-block", "one-block"])
+def test_partition_does_not_depend_on_the_block_cap(monkeypatch, cap):
+    # at the default cap these 40 clients of 300 samples fill three blocks
+    ss = SyntheticSpec(3, 7, 2.0, 0.5, samples_per_client=300, seed=5)
+    specs = [
+        PartitionSpec("iid", seed=3),
+        PartitionSpec("dirichlet_label_skew", alpha=0.3, seed=3),
+        PartitionSpec("quantity_skew", sigma=0.8, seed=3),
+    ]
+    want = [partition(ps, ss, 40) for ps in specs]
+    monkeypatch.setattr(data, "BLOCK_BYTES", cap)
+    for ps, shards in zip(specs, want):
+        for got, ref in zip(partition(ps, ss, 40), shards, strict=True):
+            assert got.client_id == ref.client_id
+            for g, w in ((got.train, ref.train), (got.test, ref.test)):
+                assert np.array_equal(g.features, w.features)
+                assert np.array_equal(g.labels, w.labels)
 
 
 def test_split_sizes_and_histogram():

@@ -5,6 +5,8 @@ The identity rests on numpy running a stacked matmul as one BLAS product
 per lane, so CI also runs this file with one BLAS thread.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,19 +37,19 @@ def _data(n, seed, scale=1.0):
     return Dataset(rng.normal(0.0, scale, size=(n, 4)), rng.integers(0, 3, size=n), 3)
 
 
-def _one_lane(lane, arch):
+def _one_lane(lane, arch, hp):
     """What the one-client path gives for a lane: (vector, report) or
     (DivergenceError, None)."""
-    start, hp, train, test = lane
+    start, seed, train, test = lane
     try:
-        trained = local_train(start, arch, train, hp)
+        trained = local_train(start, arch, train, replace(hp, seed=seed))
     except DivergenceError as e:
         return e, None
     return trained, evaluate(trained, arch, test)
 
 
-def _one_at_a_time(lanes, arch):
-    return [_one_lane(lane, arch) for lane in lanes]
+def _one_at_a_time(lanes, arch, hp):
+    return [_one_lane(lane, arch, hp) for lane in lanes]
 
 
 def _assert_same(got, want):
@@ -91,40 +93,47 @@ def _stack(draw):
         lanes.append(
             (
                 init_params(arch, "seeded_uniform", seed=lane_seed),  # a start per lane
-                Hyperparameters(hp.learning_rate, hp.epochs, hp.batch_size, hp.l2, lane_seed),
+                lane_seed,
                 _data(n, lane_seed),
                 _data(draw(st.sampled_from([0, 1, 5, 8])), lane_seed + 1),
             )
         )
-    return arch, lanes
+    return arch, lanes, hp
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=_stack())
 def test_lanes_equal_local_train_evaluate_and_the_fresh_array_reference(case):
-    arch, lanes = case
-    got = train_lockstep(lanes, arch)
-    _assert_same(got, _one_at_a_time(lanes, arch))
-    for (vec, _), (start, hp, train, _) in zip(got, lanes):
-        assert np.array_equal(vec.values, reference_sgd(start, arch, train, hp))
+    arch, lanes, hp = case
+    got = train_lockstep(lanes, arch, hp)
+    _assert_same(got, _one_at_a_time(lanes, arch, hp))
+    for (vec, _), (start, seed, train, _) in zip(got, lanes):
+        assert np.array_equal(vec.values, reference_sgd(start, arch, train, replace(hp, seed=seed)))
 
 
 def test_stacked_evaluation_equals_evaluate():
-    # rows with equal test sizes share a stack; an empty test set is degenerate
+    # at learning rate 0 each lane scores its start; lanes with equal test
+    # sizes share a stack, and an empty test set is degenerate
     arch = MLP
     rng = np.random.default_rng(3)
-    current = rng.normal(0.0, 2.0, size=(6, arch.parameter_count))
+    starts = [ParameterVector(v) for v in rng.normal(0.0, 2.0, size=(6, arch.parameter_count))]
     tests = [_data(n, seed) for seed, n in enumerate([12, 0, 12, 3, 12, 1])]
-    got = models._stack_reports(current, arch, tests)
-    assert got == [evaluate(ParameterVector(row), arch, t) for row, t in zip(current, tests)]
+    lanes = [(v, c, _data(8, c + 100), t) for c, (v, t) in enumerate(zip(starts, tests))]
+    got = train_lockstep(lanes, arch, Hyperparameters(0.0, 1, 4, 0.0, 0))
+    for (vec, report), start, test in zip(got, starts, tests, strict=True):
+        assert np.array_equal(vec.values, start.values)
+        assert report == evaluate(start, arch, test)
 
 
 def _divergence_case(arch, scale, params=None, **hp):
+    """A diverging lane, with a test set of the size its neighbours' have,
+    and its hyperparameters."""
     rng = np.random.default_rng(4)
     data = Dataset(rng.normal(0.0, scale, size=(12, 4)), rng.integers(0, 3, size=12), 3)
     if params is None:
         params = init_params(arch, "seeded_uniform", seed=5)
-    return params, Hyperparameters(epochs=3, batch_size=4, seed=6, **hp), data, data
+    test = Dataset(data.features[:4], data.labels[:4], 3)
+    return (params, 6, data, test), Hyperparameters(epochs=3, batch_size=4, seed=6, **hp)
 
 
 @pytest.mark.parametrize(
@@ -145,50 +154,39 @@ def _divergence_case(arch, scale, params=None, **hp):
 def test_a_lane_that_diverges_gets_its_message_and_leaves_the_others_alone(
     case, message, survivors
 ):
-    start, hp, data, _ = case
-    arch = LOGISTIC if len(start) == LOGISTIC.parameter_count else MLP
-    # the diverging lane sits between lanes of the same hyperparameters on
-    # milder data, each with its own start and seed
+    lane, hp = case
+    arch = LOGISTIC if len(lane[0]) == LOGISTIC.parameter_count else MLP
+    # the diverging lane sits in one stack between lanes on milder data,
+    # each with its own start and seed
     others = [
-        (init_params(arch, "seeded_uniform", seed=s), Hyperparameters(
-            hp.learning_rate, hp.epochs, hp.batch_size, hp.l2, s), _data(12, s), _data(4, s + 1))
+        (init_params(arch, "seeded_uniform", seed=s), s, _data(12, s), _data(4, s + 1))
         for s in (10, 11, 12)
     ]
-    lanes = [others[0], case, *others[1:]]
-    got = train_lockstep(lanes, arch)
+    lanes = [others[0], lane, *others[1:]]
+    got = train_lockstep(lanes, arch, hp)
     assert str(got[1][0]) == message
     assert got[1][1] is None
     assert sum(not isinstance(vec, DivergenceError) for vec, _ in got) == survivors
-    _assert_same(got, _one_at_a_time(lanes, arch))
+    _assert_same(got, _one_at_a_time(lanes, arch, hp))
     # and the survivors train as they do in a stack without it
-    alone = train_lockstep([others[0], *others[1:]], arch)
+    alone = train_lockstep([others[0], *others[1:]], arch, hp)
     _assert_same([got[0], *got[2:]], alone)
 
 
 def test_lanes_group_by_train_size_and_split_at_the_byte_cap(monkeypatch):
     arch = MLP
     hp = Hyperparameters(0.3, 2, 4, 0.0, 0)
+    # stacks by (train size, test size): (12, 5) x3, (9, 5) x2, (12, 3), (17, 5)
+    sizes = [(12, 5), (9, 5), (12, 5), (12, 3), (9, 5), (17, 5), (12, 5)]
     lanes = [
-        (init_params(arch, "seeded_uniform", seed=c),
-         Hyperparameters(hp.learning_rate, hp.epochs, hp.batch_size, hp.l2, c),
-         _data(n, c), _data(5, c + 100))
-        for c, n in enumerate([12, 9, 12, 12, 9, 17, 12])
+        (init_params(arch, "seeded_uniform", seed=c), c, _data(n, c), _data(n_test, c + 100))
+        for c, (n, n_test) in enumerate(sizes)
     ]
-    want = _one_at_a_time(lanes, arch)
-    _assert_same(train_lockstep(lanes, arch), want)
+    want = _one_at_a_time(lanes, arch, hp)
+    _assert_same(train_lockstep(lanes, arch, hp), want)
     # a cap below one lane's bytes leaves one lane per stack
     monkeypatch.setattr(models, "STACK_BYTES", 1)
-    _assert_same(train_lockstep(lanes, arch), want)
-
-
-def test_lanes_that_differ_in_more_than_the_seed_train_apart():
-    arch = LOGISTIC
-    lanes = [
-        (init_params(arch, "seeded_uniform", seed=c), Hyperparameters(lr, 1, 4, 0.0, c),
-         _data(12, c), _data(3, c))
-        for c, lr in enumerate([0.1, 0.5, 0.1])
-    ]
-    _assert_same(train_lockstep(lanes, arch), _one_at_a_time(lanes, arch))
+    _assert_same(train_lockstep(lanes, arch, hp), want)
 
 
 @pytest.mark.parametrize(
@@ -237,12 +235,9 @@ def test_a_stack_stops_once_every_lane_has_diverged(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(models, "_sgd_kernel", counted)
-    start, hp, data, test = _divergence_case(LOGISTIC, 10.0, learning_rate=1e307, l2=0.0)
-    lanes = [
-        (start, Hyperparameters(hp.learning_rate, hp.epochs, hp.batch_size, hp.l2, s), data, test)
-        for s in (6, 7, 8)
-    ]
-    got = train_lockstep(lanes, LOGISTIC)
+    (start, _, data, test), hp = _divergence_case(LOGISTIC, 10.0, learning_rate=1e307, l2=0.0)
+    lanes = [(start, s, data, test) for s in (6, 7, 8)]
+    got = train_lockstep(lanes, LOGISTIC, hp)
     assert [str(err) for err, _ in got] == ["non-finite gradient at epoch 1 batch 2"] * 3
     # 3 epochs of 3 batches, cut after the second
     assert len(calls) == 2

@@ -402,6 +402,15 @@ def test_diverged_run_leaves_the_payloads_it_archived(tmp_path):
     assert all(wire.content_hash(blob) == name for name, blob in files.items())
 
 
+def test_diverged_run_leaves_its_config(tmp_path):
+    raw = {"rounds": 3, "n_clients": 8, "hp": {"learning_rate": 1e308, "batch_size": 5}}
+    cfg = parse_config(raw)
+    with pytest.raises(DivergenceError):
+        run_experiment(cfg, tmp_path / "run")
+    written = (tmp_path / "run" / "config.json").read_text()
+    assert written == json.dumps(cfg.canonical, sort_keys=True, indent=2) + "\n"
+
+
 def test_secure_round_matches_plain_average():
     # same seed, loss-free links: masking must not change the aggregate
     # beyond pad cancellation noise
