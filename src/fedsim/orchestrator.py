@@ -240,11 +240,11 @@ def cluster_clients(
 ) -> ClusterAssignment:
     """Group clients by the direction of their feature vectors.
 
-    Mean-centered cosine k-means: seeded k-means++ start, at most 100
-    update rounds or until centroids move less than 1e-6.  A cluster
-    that empties is restarted from the point farthest from its current
-    centroid.  Ties in the nearest-centroid choice go to the lowest
-    cluster index.
+    Mean-centered cosine k-means: seeded k-means++ start, at most 100 update
+    rounds or until centroids move less than 1e-6.  A cluster that empties is
+    restarted from the point farthest from its current centroid.  Ties in the
+    nearest-centroid choice go to the lowest cluster index.  Raises
+    FloatingPointError when the centred vectors or their norms overflow.
     """
     if not vectors:
         raise ValueError("no vectors to cluster")
@@ -254,7 +254,8 @@ def cluster_clients(
         raise ValueError("vectors must be 1-D and of equal length")
     if not (1 <= k <= len(ids)):
         raise ValueError(f"k must lie in [1, {len(ids)}]")
-    rows = _normalize_rows(raw - raw.mean(axis=0))
+    with np.errstate(over="raise", invalid="raise"):
+        rows = _normalize_rows(raw - raw.mean(axis=0))
     rng = np.random.default_rng([seed, CLUSTER_SALT])
     centroids = _plus_plus_init(rows, k, rng)
     labels = np.zeros(len(ids), dtype=np.int64)

@@ -25,7 +25,8 @@ records it in the ledger for replay. A non-finite aggregate raises NonFiniteErro
 `run` turns into one DivergenceError naming the round `_begin_round` opened
 last (in async, the open wave). A round's metrics counters are added where
 their events happen (`_send`, `_select`, `_mint`); `_post_round` reads and
-drops them.
+drops them. The runner holds the live model alone (`version_params`); the
+ledger and payload archive hold the versions, and an async upload carries its base.
 """
 
 from __future__ import annotations
@@ -135,12 +136,10 @@ _PROBE_ROUND = 0xFFFFFFFF
 @dataclass
 class RunResult:
     run_id: str
-    out_dir: Path | None
     final_version_id: str
     rounds: int
     metrics: list[dict]
     ledger: VersionLedger
-    version_params: dict[str, ParameterVector]
     round_failures: list[dict]  # the round_failed events, in order
 
 
@@ -195,6 +194,13 @@ class ExperimentRunner:
             if cfg.has(FLAG_MONITOR)
             else None
         )
+        # written once set-up has passed its checks, so a run that fails
+        # later still records what it ran
+        if self.out_dir is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            (self.out_dir / "config.json").write_text(
+                json.dumps(cfg.canonical, sort_keys=True, indent=2) + "\n"
+            )
 
         self.registry = ClientRegistry()
         resources = wire.id_streams([cfg.seed, RESOURCE_SALT, np.arange(cfg.n_clients)])
@@ -245,8 +251,10 @@ class ExperimentRunner:
         # whenever a version is minted
         self.cluster_models: dict[int, ParameterVector] = {}
         if cfg.has(FLAG_CLUSTER):
-            vectors = self._cluster_features()
-            result = cluster_clients(vectors, cfg.cluster_k, cfg.seed)
+            try:
+                result = cluster_clients(self._cluster_features(), cfg.cluster_k, cfg.seed)
+            except FloatingPointError as e:
+                raise DivergenceError(f"cluster probe: {e} while centring") from None
             self.cluster_assignment = result.assignment
             self.cluster_models = {c: pkg.params for c in range(cfg.cluster_k)}
 
@@ -271,13 +279,6 @@ class ExperimentRunner:
         self._tally: defaultdict[int, Counter] = defaultdict(Counter)
         self._round_max_time = 0.0
         self._t_start = time.monotonic()
-        # written once set-up has passed its checks, so a run that fails
-        # later still records what it ran
-        if self.out_dir is not None:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            (self.out_dir / "config.json").write_text(
-                json.dumps(cfg.canonical, sort_keys=True, indent=2) + "\n"
-            )
 
     def _cluster_features(self) -> dict[int, np.ndarray]:
         cfg = self.cfg
@@ -411,7 +412,7 @@ class ExperimentRunner:
             detail=detail,
         )
         self.ledger.record(rec)
-        self.version_params[vid] = params
+        self.version_params = {vid: params}
         self.latest_vid = vid
         self._log(
             {
@@ -801,16 +802,16 @@ class ExperimentRunner:
                 for cid, t, env in self._client_updates(r, delivered, lambda _: pkg):
                     t_up = self._upload("update", cid, wire.SERVER_SENDER, env.byte_size, t, r)
                     if t_up is not None:
-                        q.schedule(t_up, EVENT_DELIVER, payload=env)
+                        q.schedule(t_up, EVENT_DELIVER, payload=(env, pkg.params))
             else:
                 # an update merges into the wave that is open when it arrives
                 wave = self._round
-                env = ev.payload
+                env, base = ev.payload
                 base_rec = self.ledger.get(env.base_version_id)
                 parent = self.version_params[self.latest_vid]
                 merged_core = async_merge(
                     ParameterVector(update_core(parent.values, self.body_len)),
-                    self._reconstruct(env, self.version_params[env.base_version_id]),
+                    self._reconstruct(env, base),
                     wave,
                     base_rec.created_at_round,
                     cfg.async_alpha0,
@@ -849,12 +850,10 @@ class ExperimentRunner:
             )
         result = RunResult(
             run_id=cfg.run_id,
-            out_dir=self.out_dir,
             final_version_id=self.latest_vid,
             rounds=cfg.rounds,
             metrics=self.metrics,
             ledger=self.ledger,
-            version_params=self.version_params,
             round_failures=[e for e in self.events if e["event"] == "round_failed"],
         )
         if self.out_dir is not None:

@@ -10,6 +10,7 @@ from fedsim.cli import main
 from fedsim.errors import IntegrityError
 from fedsim.report import build_report
 from payload_archive import flip_byte
+from test_runner import PROBE_OVERFLOW
 
 
 def _write_config(tmp_path, raw):
@@ -149,6 +150,13 @@ def test_divergence_exits_four(tmp_path, capsys):
     )
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     assert "diverged" in capsys.readouterr().err
+
+
+def test_overflowing_cluster_probe_exits_four(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {**PROBE_OVERFLOW, "seed": 5})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "training diverged: cluster probe: " in capsys.readouterr().err
+    assert (tmp_path / "o" / "config.json").is_file()
 
 
 def test_replay_command_reports_per_version(tmp_path, capsys):

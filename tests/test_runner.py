@@ -411,15 +411,55 @@ def test_diverged_run_leaves_its_config(tmp_path):
     assert written == json.dumps(cfg.canonical, sort_keys=True, indent=2) + "\n"
 
 
+PROBE_OVERFLOW = {
+    "rounds": 2, "n_clients": 5,
+    "arch": {"kind": "mlp", "input_dim": 1, "hidden_dim": 1, "num_classes": 2},
+    "hp": {"learning_rate": 1e308, "batch_size": 1},
+    "data": {"samples_per_client": 27}, "net": {"dropout_prob": 0.0},
+    "optional_components": ["cluster", "deployment_selector"],
+    "cluster": {"k": 2, "feature_source": "update_direction"},
+}
+
+
+@pytest.mark.parametrize("seed", [5, 1])
+def test_overflowing_cluster_probe_is_divergence_and_leaves_its_config(tmp_path, seed):
+    # the probe's update directions are finite, but centring them or taking
+    # their norms leaves float64: at seed 5 k-means++ drew from NaN weights,
+    # at seed 1 every client fell into cluster 0
+    cfg = parse_config({**PROBE_OVERFLOW, "seed": seed})
+    message = r"^cluster probe: overflow encountered in \w+ while centring$"
+    with pytest.raises(DivergenceError, match=message):
+        run_experiment(cfg, tmp_path / "run")
+    written = (tmp_path / "run" / "config.json").read_text()
+    assert written == json.dumps(cfg.canonical, sort_keys=True, indent=2) + "\n"
+
+
+def _run_minting(cfg):
+    """Run `cfg`; its result and every version's params by id, g0 included,
+    recorded as the runner mints them (it holds only the live one)."""
+    run = ExperimentRunner(cfg)
+    minted = dict(run.version_params)
+    mint = run._mint
+
+    def recording(*args):
+        mint(*args)
+        minted.update(run.version_params)
+
+    run._mint = recording
+    return run.run(), minted
+
+
+def _params_hashes(res, vids):
+    return [res.ledger.get(vid).params_hash for vid in vids]
+
+
 def test_secure_round_matches_plain_average():
     # same seed, loss-free links: masking must not change the aggregate
     # beyond pad cancellation noise
-    plain = run_experiment(_cfg(net={"dropout_prob": 0.0}), None)
-    masked = run_experiment(
-        _cfg(aggregation_mode="secure", net={"dropout_prob": 0.0}), None
-    )
-    a = plain.version_params["g1"].values
-    b = masked.version_params["g1"].values
+    _, plain = _run_minting(_cfg(net={"dropout_prob": 0.0}))
+    _, masked = _run_minting(_cfg(aggregation_mode="secure", net={"dropout_prob": 0.0}))
+    a = plain["g1"].values
+    b = masked["g1"].values
     assert np.max(np.abs(a - b)) <= 1e-9
 
 
@@ -439,11 +479,8 @@ def test_single_edge_hierarchy_is_bitwise_flat():
         ),
         None,
     )
-    for vid in ("g1", "g2", "g3"):
-        assert (
-            flat.version_params[vid].values.tobytes()
-            == tiered.version_params[vid].values.tobytes()
-        )
+    vids = ("g1", "g2", "g3")
+    assert _params_hashes(flat, vids) == _params_hashes(tiered, vids)
 
 
 def test_hierarchical_detail_lists_groups():
@@ -669,11 +706,9 @@ def test_cluster_routed_deploy_accuracies_equal_evaluate(tmp_path, monkeypatch):
     assert run.deployment_rows[-1]["local_acc_mean"] == seq_sum(want) / len(want)
 
 
-def test_cluster_models_held_stay_at_cluster_k_however_long_the_run():
-    # the runner keeps one model per cluster, not one per cluster and round;
-    # minted versions are counted apart, in version_params
-    cfg = parse_config({**CLUSTER_ROUTED, "rounds": 12})
-    run = ExperimentRunner(cfg)
+def _held_after_each_round(run, skip=()):
+    """The count of ParameterVectors in the runner's dict attributes, but
+    those named in `skip`, appended after each _post_round."""
     post_round = run._post_round
     held = []
 
@@ -683,15 +718,42 @@ def test_cluster_models_held_stay_at_cluster_k_however_long_the_run():
             sum(
                 isinstance(v, ParameterVector)
                 for name, store in vars(run).items()
-                if isinstance(store, dict) and name != "version_params"
+                if isinstance(store, dict) and name not in skip
                 for v in store.values()
             )
         )
 
     run._post_round = counting
+    return held
+
+
+def test_cluster_models_held_stay_at_cluster_k_however_long_the_run():
+    # the runner keeps one model per cluster, not one per cluster and round;
+    # the live version is counted apart, in version_params, which holds it alone
+    cfg = parse_config({**CLUSTER_ROUTED, "rounds": 12})
+    run = ExperimentRunner(cfg)
+    held = _held_after_each_round(run, skip={"version_params"})
     run.run()
-    assert len(run.version_params) == 13
+    assert len(run.version_params) == 1
     assert held == [cfg.cluster_k] * 12
+
+
+@pytest.mark.parametrize("waves", [3, 12])
+def test_async_run_holds_the_live_version_alone_however_many_waves(waves):
+    # stale arrivals merge against the base their update carries, so no
+    # older version stays held for them
+    cfg = _cfg(
+        rounds=waves,
+        aggregation_mode="async",
+        net={"dropout_prob": 0.0, "latency_ms_min": 200.0, "latency_ms_max": 300.0},
+        **{"async": {"round_interval_s": 0.05}},
+    )
+    run = ExperimentRunner(cfg)
+    held = _held_after_each_round(run)
+    res = run.run()
+    assert len(res.ledger) == 1 + sum(m["n_received"] for m in res.metrics) > waves
+    assert held == [1] * waves
+    assert len(run.version_params) == 1
 
 
 def test_multitask_freezes_global_head():
@@ -701,16 +763,16 @@ def test_multitask_freezes_global_head():
         optional_components=["multitask"],
         net={"dropout_prob": 0.0},
     )
-    res = run_experiment(cfg, None)
+    res, minted = _run_minting(cfg)
     cut = cfg.arch.shared_parameter_count
-    head0 = res.version_params["g0"].values[cut:]
+    head0 = minted["g0"].values[cut:]
     for vid in res.ledger.versions():
         rec = res.ledger.get(vid)
         if vid != "g0":
             assert rec.update_segment == "body"
-        assert np.array_equal(res.version_params[vid].values[cut:], head0)
-    body0 = res.version_params["g0"].values[:cut]
-    assert not np.array_equal(res.version_params["g3"].values[:cut], body0)
+        assert np.array_equal(minted[vid].values[cut:], head0)
+    body0 = minted["g0"].values[:cut]
+    assert not np.array_equal(minted["g3"].values[:cut], body0)
 
 
 def test_event_log_reproduces_byte_counters(tmp_path):
@@ -779,10 +841,7 @@ def test_two_runs_are_byte_identical(tmp_path):
 def test_seed_changes_the_trajectory():
     base = run_experiment(_cfg(), None)
     other = run_experiment(_cfg(seed=8), None)
-    assert (
-        base.version_params["g1"].values.tobytes()
-        != other.version_params["g1"].values.tobytes()
-    )
+    assert _params_hashes(base, ["g1"]) != _params_hashes(other, ["g1"])
 
 
 def test_archive_holds_root_and_contributor_payloads(tmp_path):
